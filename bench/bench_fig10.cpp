@@ -2,11 +2,10 @@
 // (occupancy) for the original register file and the proposed indirection-
 // table organisation at perfect and high output quality.  Also reports the
 // limiting resource, reproducing the IMGVF shared-memory cap discussion
-// (§6.1).  Pipelines warm through the Engine's async queue; the occupancy
-// math uses the Engine's configured GpuConfig.
+// (§6.1).  Pipelines warm as Jobs on the Engine's async queue; the
+// occupancy math uses the Engine's configured GpuConfig.
 
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -35,9 +34,10 @@ int main() {
               "IndirTable(perfect)", "IndirTable(high)");
   const auto names = engine.workload_names();
   // Tune all workloads concurrently before the (cheap) occupancy prints.
-  std::vector<std::future<gpurf::StatusOr<wl::PipelineResult>>> warm;
-  for (const auto& n : names) warm.push_back(engine.submit_pipeline(n));
-  for (auto& f : warm) f.wait();
+  std::vector<gpurf::Job> warm;
+  for (const auto& n : names)
+    warm.push_back(engine.submit(gpurf::JobRequest::pipeline(n)));
+  for (auto& j : warm) j.wait();
 
   for (const auto& n : names) {
     const wl::Workload& w = **engine.workload(n);

@@ -4,17 +4,14 @@
 // Every value is computed: range analysis -> precision tuning -> slice
 // allocation.
 //
-// Driven through one gpurf::Engine session: the warm-up fan-out uses the
-// async submit_pipeline queue (bounded, engine-owned executor) and the
-// printed rows read the engine's memo.
+// Driven through one gpurf::Engine session: the warm-up fan-out submits
+// pipeline Jobs (bounded, engine-owned executor) and the printed rows read
+// the engine's memo.
 
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "api/engine.hpp"
-
-namespace wl = gpurf::workloads;
 
 int main() {
   std::printf("Figure 9: register pressure per framework configuration\n");
@@ -25,10 +22,11 @@ int main() {
 
   // Warm the engine's pipeline memo concurrently; results print in the
   // paper's order afterwards regardless of completion order.
-  std::vector<std::future<gpurf::StatusOr<wl::PipelineResult>>> warm;
+  std::vector<gpurf::Job> warm;
   warm.reserve(names.size());
-  for (const auto& n : names) warm.push_back(engine.submit_pipeline(n));
-  for (auto& f : warm) f.wait();
+  for (const auto& n : names)
+    warm.push_back(engine.submit(gpurf::JobRequest::pipeline(n)));
+  for (auto& j : warm) j.wait();
 
   for (const auto& n : names) {
     auto pr = engine.pipeline(n);

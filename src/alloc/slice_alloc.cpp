@@ -4,7 +4,6 @@
 #include <bit>
 #include <numeric>
 
-#include "analysis/dataflow.hpp"
 #include "analysis/liveness.hpp"
 #include "analysis/uses.hpp"
 #include "common/bitutil.hpp"
@@ -84,11 +83,7 @@ AllocationResult allocate_slices(const ir::Kernel& k,
 
   const auto cfg = analysis::build_cfg(k);
   const auto live = analysis::compute_liveness(k, cfg);
-  const auto adj =
-      opt.live_intervals
-          ? analysis::build_live_interference(k, cfg,
-                                              analysis::compute_dataflow(k, cfg))
-          : analysis::build_interference(k, cfg, live);
+  const auto adj = analysis::build_interference(k, cfg, live);
   const auto used = appearing_regs(k);
 
   AllocationResult res;
@@ -260,14 +255,6 @@ uint32_t baseline_pressure(const ir::Kernel& k) {
   AllocOptions opt;
   opt.pack_ints = false;
   opt.pack_floats = false;
-  return allocate_slices(k, nullptr, nullptr, opt).num_physical_regs;
-}
-
-uint32_t live_interval_pressure(const ir::Kernel& k) {
-  AllocOptions opt;
-  opt.pack_ints = false;
-  opt.pack_floats = false;
-  opt.live_intervals = true;
   return allocate_slices(k, nullptr, nullptr, opt).num_physical_regs;
 }
 

@@ -82,13 +82,6 @@ struct AllocOptions {
   /// Permanent-fault map (nullable = fault-free).  Faulty slices are never
   /// allocated; see the redirection note at the top of this header.
   const gpurf::rf::FaultMap* faults = nullptr;
-  /// Pack live ranges instead of whole-kernel maxima (PR 9): interference
-  /// comes from the instruction-granular dataflow pass
-  /// (analysis::build_live_interference), where statically dead writes —
-  /// elided before they reach the register file — contribute no edges and
-  /// never-read registers may alias anything.  Off by default: existing
-  /// allocations (and the zero-fault bit-identity pins) are untouched.
-  bool live_intervals = false;
 };
 
 struct AllocationResult {
@@ -129,13 +122,6 @@ struct AllocationResult {
 
 /// Baseline 32-bit pressure: graph-colouring register count.
 uint32_t baseline_pressure(const gpurf::ir::Kernel& k);
-
-/// Baseline 32-bit pressure under live-range packing (PR 9): colouring of
-/// the liveness-refined interference graph (a subgraph of the classic
-/// one, so the count shrinks wherever dead writes or never-read registers
-/// inflated it).  The delta against baseline_pressure is what
-/// AllocOptions::live_intervals buys before any slice compression.
-uint32_t live_interval_pressure(const gpurf::ir::Kernel& k);
 
 /// Slice-packing allocation.  `ranges` may be null when !opt.pack_ints;
 /// `pmap` may be null when !opt.pack_floats.

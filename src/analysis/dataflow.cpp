@@ -7,7 +7,6 @@
 namespace gpurf::analysis {
 
 using gpurf::ir::Kernel;
-using gpurf::ir::Type;
 
 Dataflow compute_dataflow(const Kernel& k, const Cfg& cfg) {
   Dataflow df;
@@ -76,43 +75,6 @@ Dataflow compute_dataflow(const Kernel& k, const Cfg& cfg) {
     if (lo[r] < points) df.intervals.push_back(LiveInterval{r, lo[r], hi[r]});
 
   return df;
-}
-
-std::vector<DynBitset> build_live_interference(const Kernel& k, const Cfg& cfg,
-                                               const Dataflow& df) {
-  const uint32_t nr = k.num_regs();
-  std::vector<DynBitset> adj(nr, DynBitset(nr));
-  auto is_data = [&](uint32_t r) { return k.regs[r].type != Type::PRED; };
-  auto add_edges_from = [&](uint32_t d, const DynBitset& liveset) {
-    if (!is_data(d)) return;
-    liveset.for_each_set([&](size_t rr) {
-      const uint32_t r = static_cast<uint32_t>(rr);
-      if (r == d || !is_data(r)) return;
-      adj[d].set(r);
-      adj[r].set(d);
-    });
-  };
-
-  for (uint32_t b = 0; b < cfg.num_blocks(); ++b) {
-    DynBitset cur = df.block.live_out[b];
-    for (uint32_t i = static_cast<uint32_t>(k.blocks[b].insts.size());
-         i-- > 0;) {
-      const auto& in = k.blocks[b].insts[i];
-      const uint32_t d = def_of(in);
-      if (d != gpurf::ir::kNoReg) {
-        // A dead write is elided before it reaches the register file, so
-        // it interferes with nothing; build_interference's unconditional
-        // def-edge is exactly the conservatism live_intervals mode drops.
-        if (!df.dst_dead(b, i)) {
-          if (is_partial_def(in)) cur.set(d);
-          add_edges_from(d, cur);
-        }
-        if (!is_partial_def(in)) cur.reset(d);
-      }
-      for_each_use(in, [&](uint32_t r) { cur.set(r); });
-    }
-  }
-  return adj;
 }
 
 KernelReport build_kernel_report(const Kernel& k, const Cfg& cfg,

@@ -5,10 +5,6 @@
 // interference); this layer refines them to *program points* so that
 // downstream consumers can reason per instruction:
 //
-//  * the interpreter elides quantize/range-check/writeback for destination
-//    rows that are dead at the write point (ExecContext::elide_dead_writes);
-//  * the slice allocator packs live ranges instead of whole-kernel maxima
-//    (AllocOptions::live_intervals, via build_live_interference);
 //  * the soft-error model classifies strikes against the static live mask
 //    (SimStats::soft_flips_static_dead) and integrates a static upper bound
 //    of the dynamic live-bit exposure;
@@ -41,10 +37,6 @@ struct LiveInterval {
   uint32_t begin = 0;
   uint32_t end = 0;
 
-  uint32_t length() const { return end - begin; }
-  bool overlaps(const LiveInterval& o) const {
-    return begin < o.end && o.begin < end;
-  }
   bool operator==(const LiveInterval&) const = default;
 };
 
@@ -60,10 +52,9 @@ struct Dataflow {
   std::vector<uint32_t> block_size;   ///< per block: instruction count
 
   /// Per instruction (flattened block-major): the destination is dead
-  /// immediately after the write — nothing can ever read it, so the
-  /// writeback (and for pure ALU ops the whole computation) is elidable.
-  /// Safe for partial defs too: if the merged value is dead, so is the
-  /// old value it merged with.
+  /// immediately after the write — nothing can ever read it (the lint's
+  /// dead-write findings).  Precise for partial defs too: if the merged
+  /// value is dead, so is the old value it merged with.
   std::vector<uint8_t> dead_dst;
 
   /// Union of every live_before point: registers whose value is read
@@ -102,16 +93,6 @@ struct Dataflow {
 };
 
 Dataflow compute_dataflow(const gpurf::ir::Kernel& k, const Cfg& cfg);
-
-/// Liveness-refined interference (AllocOptions::live_intervals): like
-/// build_interference, but a definition whose destination is dead at the
-/// write point contributes no edges, and never-live registers interfere
-/// with nothing — their storage may alias anything.  Sound under elided
-/// dead writebacks: a dead write never reaches the register file, so it
-/// cannot clobber a co-located live value.
-std::vector<DynBitset> build_live_interference(const gpurf::ir::Kernel& k,
-                                               const Cfg& cfg,
-                                               const Dataflow& df);
 
 /// One statically-dead write site.
 struct DeadWrite {
@@ -153,9 +134,6 @@ struct KernelReport {
   /// Whole-kernel colouring pressure (alloc::baseline_pressure) — filled
   /// by callers that may depend on the alloc layer; 0 = not computed.
   uint32_t alloc_pressure = 0;
-  /// Colouring pressure under the liveness-refined interference graph —
-  /// filled by the same callers; 0 = not computed.
-  uint32_t live_interval_pressure = 0;
 
   /// Register names indexed by reg id (diagnostics; ids elsewhere).
   std::vector<std::string> reg_names;
@@ -192,8 +170,8 @@ struct KernelReport {
   bool clean() const { return undefined_reads.empty(); }
 };
 
-/// Assemble the report's analysis-layer fields (the two allocator pressure
-/// fields stay 0 — callers with access to alloc:: fill them).
+/// Assemble the report's analysis-layer fields (alloc_pressure stays 0 —
+/// callers with access to alloc:: fill it).
 KernelReport build_kernel_report(const gpurf::ir::Kernel& k, const Cfg& cfg,
                                  const Dataflow& df);
 

@@ -12,16 +12,15 @@
 // replay engine knows the params before execution starts, which is what
 // makes this a *static* pre-execution analysis of a *concrete* launch.
 //
-// Three consumers (mirrors PR 9's dead-write shape):
-//   * perf      — prove_in_bounds() flags accesses whose dynamic bounds
-//                 check can never fire; ExecContext::elide_bounds_checks
-//                 skips them, bit-identical by construction;
+// Two consumers (the interpreter itself always checks bounds, once per
+// warp):
 //   * gating    — stores_disjoint / loads_local verdicts let Workload::run
 //                 and Engine::simulate choose block-parallel / sharded
 //                 execution only when the documented memory contract
 //                 (sim/gpu.hpp) is statically verified (or waived);
-//   * lint      — definite / possible OOB findings and overlap verdicts
-//                 surface through KernelReport, gpurf-lint and the daemon.
+//   * lint      — prove_in_bounds() coverage, definite / possible OOB
+//                 findings and overlap verdicts surface through
+//                 KernelReport, gpurf-lint and the daemon.
 //
 // Soundness rules inherited from the interpreter's address arithmetic
 // (`addr = (int64)(u32)reg + mem_offset`):
@@ -91,7 +90,8 @@ struct MemoryAccessOptions {
   /// Cap on per-block footprint solves; grids beyond it leave the
   /// disjointness verdicts unproven.
   uint32_t max_blocks = 4096;
-  /// Skip the per-block footprint solves entirely (elision-only callers).
+  /// Skip the per-block footprint solves entirely (bare-kernel lint,
+  /// which has no meaningful grid to prove disjointness over).
   bool footprints = true;
 };
 

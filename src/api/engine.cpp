@@ -29,8 +29,6 @@ EngineOptions resolve(EngineOptions o) {
   if (o.async_workers <= 0) o.async_workers = o.threads;
   if (o.max_inflight == 0)
     o.max_inflight = 2 * static_cast<size_t>(o.async_workers);
-  if (o.job_id_start == 0) o.job_id_start = 1;
-  if (o.job_id_stride == 0) o.job_id_stride = 1;
   o.run.thread_insts = nullptr;
   // Cancellation tokens are per-job, never session-wide configuration.
   o.run.cancel = nullptr;
@@ -72,15 +70,89 @@ uint64_t wall_us_since(detail::JobImpl::Clock::time_point start) {
           .count());
 }
 
+/// Copy a finished child's outcome into its campaign point.
+template <class Point>
+void fill_point(Point& pt, const Job& child,
+                const StatusOr<sim::SimResult>& r) {
+  pt.state = child.state();
+  if (r.ok()) {
+    pt.cycles = r->stats.cycles;
+    pt.ipc = r->stats.ipc();
+  } else {
+    pt.error = r.status().to_string();
+  }
+}
+
+/// The sweep both campaign kinds share: one child simulate job per (axis
+/// value, repeat), each the template with its point stamped on by
+/// `stamp(sr, x, seed)` — a fault map (density, seed) or a flip process
+/// (rate, seed) — which also appends the point's result slot.  Seeds are
+/// a deterministic splitmix64 stream off `seed`, so a campaign reruns the
+/// exact same maps / flip traces; children inherit the parent's priority
+/// and the remainder of its deadline.  Children are collected in
+/// submission order, polling the parent token so a campaign cancel
+/// reaches every child at the next slice; `record(i, child, result)`
+/// fills point i and returns true to cancel every later child.  On a stop
+/// every child is cancelled and awaited before the status is returned,
+/// so a campaign never leaves orphan work running.
+template <class Stamp, class Record>
+Status run_sweep(Engine& engine, detail::JobImpl& job,
+                 const std::string& what, const std::vector<double>& axis,
+                 int repeats, uint64_t seed, const SimRequest& tmpl,
+                 Stamp stamp, Record record) {
+  const int per = std::max(1, repeats);
+  job.token.campaign_maps_total.store(static_cast<int>(axis.size()) * per,
+                                      std::memory_order_relaxed);
+  job.token.set_stage(common::JobStage::kSimulating);
+  std::vector<Job> children;
+  Status st;
+  try {
+    for (double x : axis) {
+      for (int m = 0; m < per; ++m) {
+        job.token.checkpoint();  // stop submitting once cancelled
+        SimRequest sr = tmpl;
+        stamp(sr, x, splitmix64(seed));
+        JobRequest child = JobRequest::simulate(job.req.workload, sr)
+                               .with_priority(job.req.priority);
+        if (job.token.has_deadline()) {
+          const auto left =
+              std::chrono::duration_cast<std::chrono::milliseconds>(
+                  job.token.deadline() - detail::JobImpl::Clock::now());
+          child.deadline_ms = std::max<int64_t>(1, left.count());
+        }
+        children.push_back(engine.submit(std::move(child)));
+      }
+    }
+    for (size_t i = 0; i < children.size(); ++i) {
+      while (!children[i].wait_for(std::chrono::milliseconds(50)))
+        job.token.checkpoint();
+      const bool stop = record(i, children[i], children[i].sim_result());
+      job.token.campaign_maps_done.fetch_add(1, std::memory_order_relaxed);
+      if (stop)
+        for (size_t j = i + 1; j < children.size(); ++j) children[j].cancel();
+    }
+  } catch (const common::CancelledError& e) {
+    st = stop_status(e, what);
+  } catch (const Error& e) {
+    // submit() on a stopping Engine, or a child rejection.
+    st = Status::Cancelled(what + " aborted: " + e.what());
+  } catch (const std::exception& e) {
+    st = Status::Internal(what + ": " + e.what());
+  }
+  if (!st.ok()) {
+    for (auto& c : children) c.cancel();
+    for (auto& c : children) c.wait();
+  }
+  return st;
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions opts)
     : opts_(resolve(std::move(opts))),
       pool_(opts_.threads),
       pipelines_(pipeline_options(opts_, &pipeline_stats_)),
-      registry_(workloads::make_all_workloads()) {
-  next_job_id_ = opts_.job_id_start;
-}
+      registry_(workloads::make_all_workloads()) {}
 
 Engine::~Engine() {
   {
@@ -94,11 +166,6 @@ Engine::~Engine() {
   // drain and finalize those children before exiting.
   for (auto& t : campaign_threads_) t.join();
   for (auto& t : executors_) t.join();
-}
-
-Engine& Engine::shared() {
-  static Engine engine;
-  return engine;
 }
 
 std::vector<std::string> Engine::workload_names() const {
@@ -222,7 +289,7 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     // waived by the workload spec — instead of assumed; unproven kernels
     // fall back to the bit-identical serial schedule (SimStats are
     // shard-count-invariant, so the clamp never changes results).
-    if (so.shards > 1 && !w.mem_proofs(inst, /*footprints=*/true)->shard_ok)
+    if (so.shards > 1 && !w.mem_proofs(inst)->shard_ok)
       so.shards = 1;
 
     // Soft-error quality scoring (PR 7) needs the pristine inputs kept
@@ -453,7 +520,6 @@ StatusOr<analysis::KernelReport> Engine::analyze(const ir::Kernel& k) {
     analysis::KernelReport rep =
         analysis::build_kernel_report(k, ka->cfg(), ka->dataflow());
     rep.alloc_pressure = alloc::baseline_pressure(k);
-    rep.live_interval_pressure = alloc::live_interval_pressure(k);
     // Static memory section without instance context: shared-memory OOB
     // classification only (gmem_words = 0), no footprint solves — a bare
     // kernel has no meaningful grid to prove disjointness over.
@@ -481,7 +547,7 @@ StatusOr<analysis::KernelReport> Engine::analyze(const workloads::Workload& w) {
     // geometry, parameter words and memory image are exactly what replay
     // runs against, so the findings and verdicts describe real executions.
     auto inst = w.make_instance(workloads::Scale::kSample, 0);
-    const auto proofs = w.mem_proofs(inst, /*footprints=*/true);
+    const auto proofs = w.mem_proofs(inst);
     analysis::apply_memory_findings(
         *rep, proofs->mem, proofs->proven, proofs->gmem_words,
         analysis::shared_words(w.kernel()), w.spec().assume_disjoint);
@@ -548,16 +614,10 @@ Job Engine::submit(JobRequest req) {
     common::MutexLock lock(qmu_);
     metrics_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
     GPURF_CHECK(!stopping_, "submit on a stopping Engine");
-    impl->id = next_job_id_;
-    next_job_id_ += opts_.job_id_stride;
+    impl->id = next_job_id_++;
     evict_terminal_jobs_locked();
     jobs_[impl->id] = impl;
-    campaign_threads_.emplace_back([this, impl] {
-      if (impl->req.kind == JobKind::kFaultCampaign)
-        run_campaign(impl);
-      else
-        run_transient_campaign(impl);
-    });
+    campaign_threads_.emplace_back([this, impl] { run_campaign(impl); });
     return Job(impl);
   }
 
@@ -582,8 +642,7 @@ Job Engine::submit(JobRequest req) {
       slot_cv_.wait(lock.native(), has_slot);
     }
     GPURF_CHECK(!stopping_, "submit on a stopping Engine");
-    impl->id = next_job_id_;
-    next_job_id_ += opts_.job_id_stride;
+    impl->id = next_job_id_++;
     evict_terminal_jobs_locked();
     jobs_[impl->id] = impl;
     if (!rejected) {
@@ -679,9 +738,9 @@ void Engine::run_job(detail::JobImpl& job) {
   }
   const JobState terminal = terminal_state_for(st);
   // Ordering contract for observers woken by finalize(): the slot is
-  // released first (PR 3's "inflight == 0 once every future resolved"
-  // still holds) and the metrics are recorded first (a wait() that
-  // returned sees this job in the terminal-state counters).
+  // released first (inflight() == 0 once every waited-on job is terminal)
+  // and the metrics are recorded first (a wait() that returned sees this
+  // job in the terminal-state counters).
   release_slot();
   metrics_.record_terminal(terminal, st.ok(), wall_us_since(job.submitted_at));
   job.finalize(terminal, std::move(st));
@@ -735,236 +794,112 @@ void Engine::executor_loop() {
   }
 }
 
-bool Engine::start_campaign(detail::JobImpl& job) {
+void Engine::run_campaign(std::shared_ptr<detail::JobImpl> job) {
   uint64_t seq = 0;
   {
     common::MutexLock lock(qmu_);
     seq = next_run_seq_++;
   }
-  if (job.start_running(seq)) {
-    metrics_.queue_wait_hist.record_us(wall_us_since(job.submitted_at));
-    return true;
-  }
-  // Cancelled (or deadline-expired) before the orchestrator started.
-  const common::StopReason r = job.token.stop_reason();
-  const bool dl = r == common::StopReason::kDeadline;
-  const JobState terminal =
-      dl ? JobState::kDeadlineExceeded : JobState::kCancelled;
-  metrics_.record_terminal(terminal, false, wall_us_since(job.submitted_at));
-  job.finalize(terminal,
-               dl ? Status::DeadlineExceeded("deadline before campaign start")
-                  : Status::Cancelled("cancelled before campaign start"));
-  return false;
-}
-
-void Engine::run_campaign(std::shared_ptr<detail::JobImpl> job) {
-  if (!start_campaign(*job)) return;
-
-  const FaultCampaignRequest& creq = job->req.campaign;
-  // Faults live in the compressed register file: a campaign over the
-  // baseline RF is meaningless, so reject it before spawning children
-  // instead of letting every child fail with the same error.
-  if (creq.sim.mode == workloads::SimMode::kOriginal) {
-    const Status bad = Status::InvalidArgument(
-        "fault campaign '" + job->req.workload +
-        "' requires a compressed mode (perfect|high)");
-    const JobState terminal = terminal_state_for(bad);
-    metrics_.record_terminal(terminal, false,
+  auto finish = [&](Status st) {
+    const JobState terminal = terminal_state_for(st);
+    metrics_.record_terminal(terminal, st.ok(),
                              wall_us_since(job->submitted_at));
-    job->finalize(terminal, bad);
+    job->finalize(terminal, std::move(st));
+  };
+  if (!job->start_running(seq)) {
+    // Cancelled (or deadline-expired) before the orchestrator started.
+    finish(job->token.stop_reason() == common::StopReason::kDeadline
+               ? Status::DeadlineExceeded("deadline before campaign start")
+               : Status::Cancelled("cancelled before campaign start"));
     return;
   }
-  const int maps_per = std::max(1, creq.maps_per_density);
-  job->token.campaign_maps_total.store(
-      static_cast<int>(creq.densities.size()) * maps_per,
-      std::memory_order_relaxed);
-  job->token.set_stage(common::JobStage::kSimulating);
+  metrics_.queue_wait_hist.record_us(wall_us_since(job->submitted_at));
 
-  // Submit one child simulate job per (density, map).  Per-map seeds are
-  // a deterministic splitmix64 stream off base_seed, so the same request
-  // reruns the exact same maps.  Children inherit the parent's priority
-  // and the remainder of its deadline.
-  FaultCampaignResult result;
-  result.workload = job->req.workload;
-  std::vector<Job> children;
+  const std::string& wl = job->req.workload;
   Status st;
-  try {
-    uint64_t seed_state = creq.base_seed;
-    for (double density : creq.densities) {
-      for (int m = 0; m < maps_per; ++m) {
-        job->token.checkpoint();  // stop submitting once cancelled
-        FaultCampaignPoint pt;
-        pt.density = density;
-        pt.seed = splitmix64(seed_state);
-        SimRequest sr = creq.sim;
-        sr.fault.seed = pt.seed;
-        sr.fault.density = density;
-        // Early stopping needs every child scored, whatever the template
-        // said.
-        if (creq.quality_floor > 0.0) sr.fault.score_quality = true;
-        JobRequest child =
-            JobRequest::simulate(job->req.workload, sr)
-                .with_priority(job->req.priority);
-        if (job->token.has_deadline()) {
-          const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-              job->token.deadline() - detail::JobImpl::Clock::now());
-          child.deadline_ms = std::max<int64_t>(1, left.count());
-        }
-        result.points.push_back(pt);
-        children.push_back(submit(std::move(child)));
-      }
+  if (job->req.kind == JobKind::kFaultCampaign) {
+    const FaultCampaignRequest& fc = job->req.campaign;
+    const std::string what = "fault campaign '" + wl + "'";
+    // Faults live in the compressed register file: a campaign over the
+    // baseline RF is meaningless, so reject it before spawning children
+    // instead of letting every child fail with the same error.
+    if (fc.sim.mode == workloads::SimMode::kOriginal) {
+      finish(Status::InvalidArgument(
+          what + " requires a compressed mode (perfect|high)"));
+      return;
     }
-
-    // Collect in submission order, polling the parent token so a
-    // campaign cancel propagates to every child at the next slice.
-    // Submission order is density-major, so early stopping can act at
-    // each density boundary: once the mean quality delta of a completed
-    // density crosses the floor, the remaining (higher-density) children
-    // are cancelled cooperatively and the result is marked truncated.
+    SimRequest tmpl = fc.sim;
+    // Early stopping needs every child scored, whatever the template said.
+    if (fc.quality_floor > 0.0) tmpl.fault.score_quality = true;
+    FaultCampaignResult res;
+    res.workload = wl;
+    // Points arrive density-major, so early stopping acts at each density
+    // boundary: once the mean quality delta of a completed density crosses
+    // the floor, the remaining (higher-density) children are cancelled
+    // and the result is marked truncated.
     double delta_sum = 0.0;
     int delta_n = 0;
-    for (size_t i = 0; i < children.size(); ++i) {
-      while (!children[i].wait_for(std::chrono::milliseconds(50)))
-        job->token.checkpoint();
-      FaultCampaignPoint& pt = result.points[i];
-      pt.state = children[i].state();
-      auto child_res = children[i].sim_result();
-      if (child_res.ok()) {
-        pt.fault = child_res->fault;
-        pt.cycles = child_res->stats.cycles;
-        pt.ipc = child_res->stats.ipc();
-      } else {
-        pt.error = child_res.status().to_string();
-      }
-      job->token.campaign_maps_done.fetch_add(1, std::memory_order_relaxed);
-      if (creq.quality_floor > 0.0 && !result.truncated) {
-        if (child_res.ok() && pt.fault.quality_scored) {
-          delta_sum += pt.fault.quality_delta;
-          ++delta_n;
-        }
-        const bool density_done =
-            i + 1 == result.points.size() ||
-            result.points[i + 1].density != pt.density;
-        if (density_done) {
-          if (delta_n > 0 && delta_sum / delta_n > creq.quality_floor) {
-            result.truncated = true;
-            result.truncated_at_density = pt.density;
-            for (size_t j = i + 1; j < children.size(); ++j)
-              children[j].cancel();
+    st = run_sweep(
+        *this, *job, what, fc.densities, fc.maps_per_density, fc.base_seed,
+        tmpl,
+        [&](SimRequest& sr, double density, uint64_t seed) {
+          sr.fault.density = density;
+          sr.fault.seed = seed;
+          FaultCampaignPoint& pt = res.points.emplace_back();
+          pt.density = density;
+          pt.seed = seed;
+        },
+        [&](size_t i, const Job& child, const StatusOr<sim::SimResult>& r) {
+          FaultCampaignPoint& pt = res.points[i];
+          fill_point(pt, child, r);
+          if (r.ok()) pt.fault = r->fault;
+          if (fc.quality_floor <= 0.0 || res.truncated) return false;
+          if (r.ok() && pt.fault.quality_scored) {
+            delta_sum += pt.fault.quality_delta;
+            ++delta_n;
           }
+          if (i + 1 < res.points.size() &&
+              res.points[i + 1].density == pt.density)
+            return false;  // density not complete yet
+          res.truncated =
+              delta_n > 0 && delta_sum / delta_n > fc.quality_floor;
+          if (res.truncated) res.truncated_at_density = pt.density;
           delta_sum = 0.0;
           delta_n = 0;
-        }
-      }
-    }
-  } catch (const common::CancelledError& e) {
-    st = stop_status(e, "fault campaign '" + job->req.workload + "'");
-  } catch (const Error& e) {
-    // submit() on a stopping Engine, or a child rejection.
-    st = Status::Cancelled("fault campaign '" + job->req.workload +
-                           "' aborted: " + e.what());
-  } catch (const std::exception& e) {
-    st = Status::Internal("fault campaign '" + job->req.workload + "': " +
-                          e.what());
-  }
-  if (!st.ok()) {
-    // Propagate the stop to every child before finalizing the parent, so
-    // a cancelled campaign never leaves orphan work running.
-    for (auto& c : children) c.cancel();
-    for (auto& c : children) c.wait();
-  } else if (result.points.empty()) {
-    st = Status::InvalidArgument("fault campaign '" + job->req.workload +
-                                 "' has no density points");
+          return res.truncated;
+        });
+    if (st.ok() && res.points.empty())
+      st = Status::InvalidArgument(what + " has no density points");
+    else if (st.ok())
+      job->campaign_result = std::move(res);
   } else {
-    job->campaign_result = std::move(result);
+    // Any mode is legal for a transient campaign — comparing the baseline
+    // RF's vulnerability against the compressed one is the point.
+    const TransientCampaignRequest& tc = job->req.transient;
+    const std::string what = "transient campaign '" + wl + "'";
+    TransientCampaignResult res;
+    res.workload = wl;
+    st = run_sweep(
+        *this, *job, what, tc.flip_rates, tc.seeds_per_rate, tc.base_seed,
+        tc.sim,
+        [&](SimRequest& sr, double rate, uint64_t seed) {
+          sr.soft.flips_per_mcycle = rate;
+          sr.soft.seed = seed;
+          TransientCampaignPoint& pt = res.points.emplace_back();
+          pt.flips_per_mcycle = rate;
+          pt.seed = seed;
+        },
+        [&](size_t i, const Job& child, const StatusOr<sim::SimResult>& r) {
+          fill_point(res.points[i], child, r);
+          if (r.ok()) res.points[i].soft = r->soft;
+          return false;
+        });
+    if (st.ok() && res.points.empty())
+      st = Status::InvalidArgument(what + " has no flip-rate points");
+    else if (st.ok())
+      job->transient_result = std::move(res);
   }
-  const JobState terminal = terminal_state_for(st);
-  metrics_.record_terminal(terminal, st.ok(),
-                           wall_us_since(job->submitted_at));
-  job->finalize(terminal, std::move(st));
-}
-
-void Engine::run_transient_campaign(std::shared_ptr<detail::JobImpl> job) {
-  if (!start_campaign(*job)) return;
-
-  const TransientCampaignRequest& creq = job->req.transient;
-  const int per = std::max(1, creq.seeds_per_rate);
-  job->token.campaign_maps_total.store(
-      static_cast<int>(creq.flip_rates.size()) * per,
-      std::memory_order_relaxed);
-  job->token.set_stage(common::JobStage::kSimulating);
-
-  // One child simulate job per (flip rate, seed).  Seeds are a
-  // deterministic splitmix64 stream off base_seed, so a campaign reruns
-  // the exact same flip traces; children inherit the parent's priority and
-  // the remainder of its deadline.  Any mode is legal — comparing the
-  // baseline RF's vulnerability against the compressed one is the point.
-  TransientCampaignResult result;
-  result.workload = job->req.workload;
-  std::vector<Job> children;
-  Status st;
-  try {
-    uint64_t seed_state = creq.base_seed;
-    for (double rate : creq.flip_rates) {
-      for (int s = 0; s < per; ++s) {
-        job->token.checkpoint();  // stop submitting once cancelled
-        TransientCampaignPoint pt;
-        pt.flips_per_mcycle = rate;
-        pt.seed = splitmix64(seed_state);
-        SimRequest sr = creq.sim;
-        sr.soft.flips_per_mcycle = rate;
-        sr.soft.seed = pt.seed;
-        JobRequest child = JobRequest::simulate(job->req.workload, sr)
-                               .with_priority(job->req.priority);
-        if (job->token.has_deadline()) {
-          const auto left =
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  job->token.deadline() - detail::JobImpl::Clock::now());
-          child.deadline_ms = std::max<int64_t>(1, left.count());
-        }
-        result.points.push_back(pt);
-        children.push_back(submit(std::move(child)));
-      }
-    }
-
-    for (size_t i = 0; i < children.size(); ++i) {
-      while (!children[i].wait_for(std::chrono::milliseconds(50)))
-        job->token.checkpoint();
-      TransientCampaignPoint& pt = result.points[i];
-      pt.state = children[i].state();
-      auto child_res = children[i].sim_result();
-      if (child_res.ok()) {
-        pt.soft = child_res->soft;
-        pt.cycles = child_res->stats.cycles;
-        pt.ipc = child_res->stats.ipc();
-      } else {
-        pt.error = child_res.status().to_string();
-      }
-      job->token.campaign_maps_done.fetch_add(1, std::memory_order_relaxed);
-    }
-  } catch (const common::CancelledError& e) {
-    st = stop_status(e, "transient campaign '" + job->req.workload + "'");
-  } catch (const Error& e) {
-    // submit() on a stopping Engine, or a child rejection.
-    st = Status::Cancelled("transient campaign '" + job->req.workload +
-                           "' aborted: " + e.what());
-  } catch (const std::exception& e) {
-    st = Status::Internal("transient campaign '" + job->req.workload +
-                          "': " + e.what());
-  }
-  if (!st.ok()) {
-    for (auto& c : children) c.cancel();
-    for (auto& c : children) c.wait();
-  } else if (result.points.empty()) {
-    st = Status::InvalidArgument("transient campaign '" + job->req.workload +
-                                 "' has no flip-rate points");
-  } else {
-    job->transient_result = std::move(result);
-  }
-  const JobState terminal = terminal_state_for(st);
-  metrics_.record_terminal(terminal, st.ok(),
-                           wall_us_since(job->submitted_at));
-  job->finalize(terminal, std::move(st));
+  finish(std::move(st));
 }
 
 Status Engine::drain(int64_t budget_ms) {
@@ -1065,60 +1000,4 @@ std::string Engine::metrics_json() const {
   return api::to_json(metrics_snapshot());
 }
 
-// ------------------------------------------------- legacy futures (PR 3)
-
-std::future<StatusOr<workloads::PipelineResult>> Engine::submit_pipeline(
-    std::string name) {
-  Job job = submit(JobRequest::pipeline(std::move(name)));
-  auto impl = job.impl_;
-  auto prom = std::make_shared<
-      std::promise<StatusOr<workloads::PipelineResult>>>();
-  auto fut = prom->get_future();
-  impl->add_listener([impl, prom] {
-    std::unique_lock<std::mutex> lk(impl->mu);
-    StatusOr<workloads::PipelineResult> out =
-        impl->pipeline_result
-            ? StatusOr<workloads::PipelineResult>(*impl->pipeline_result)
-            : StatusOr<workloads::PipelineResult>(
-                  impl->status.ok()
-                      ? Status::Internal("job finished without a result")
-                      : impl->status);
-    lk.unlock();
-    prom->set_value(std::move(out));
-  });
-  return fut;
-}
-
-std::future<StatusOr<sim::SimResult>> Engine::submit_simulate(std::string name,
-                                                              SimRequest req) {
-  Job job = submit(JobRequest::simulate(std::move(name), req));
-  auto impl = job.impl_;
-  auto prom = std::make_shared<std::promise<StatusOr<sim::SimResult>>>();
-  auto fut = prom->get_future();
-  impl->add_listener([impl, prom] {
-    std::unique_lock<std::mutex> lk(impl->mu);
-    StatusOr<sim::SimResult> out =
-        impl->sim_result
-            ? StatusOr<sim::SimResult>(*impl->sim_result)
-            : StatusOr<sim::SimResult>(
-                  impl->status.ok()
-                      ? Status::Internal("job finished without a result")
-                      : impl->status);
-    lk.unlock();
-    prom->set_value(std::move(out));
-  });
-  return fut;
-}
-
 }  // namespace gpurf
-
-namespace gpurf::workloads {
-
-// Legacy shim: the free function that used to own the process-global memo
-// now delegates to the process-default Engine.  Errors surface as
-// gpurf::Error (thrown by StatusOr::value), matching the old contract.
-const PipelineResult& run_pipeline(const Workload& w) {
-  return *Engine::shared().pipeline(w).value();
-}
-
-}  // namespace gpurf::workloads

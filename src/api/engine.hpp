@@ -39,18 +39,13 @@
 // pass/evaluations, simulated cycles).  The executor's in-flight set is
 // bounded by EngineOptions::max_inflight: a deadline-less submit blocks
 // for a slot (backpressure), a submit with a deadline gives up when the
-// deadline passes and returns the job already in kDeadlineExceeded.  The
-// PR 3 futures API (submit_pipeline / submit_simulate) survives as a thin
-// shim over submit().  Engine-level metrics (cache hit counters, queue
-// depth, jobs by terminal state, wall times) export via metrics_json();
-// api/server.hpp speaks the whole surface over a local socket (gpurfd).
-//
-// The legacy free functions (workloads::run_pipeline, ...) remain as thin
-// shims over Engine::shared(), so existing callers migrate incrementally.
+// deadline passes and returns the job already in kDeadlineExceeded.
+// Engine-level metrics (cache hit counters, queue depth, jobs by terminal
+// state, wall times) export via metrics_json(); api/server.hpp speaks the
+// whole surface over a local socket (gpurfd).
 
 #include <condition_variable>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -111,13 +106,6 @@ struct EngineOptions {
   /// submitters with a deadline fail over to kDeadlineExceeded once it
   /// passes.
   size_t max_inflight = 0;
-  /// Job-id space partitioning (ISSUE 8): ids are assigned start,
-  /// start+stride, start+2*stride, ...  A sharded daemon gives shard i of
-  /// N the pair (i+1, N), so every job id names its shard as
-  /// (id-1) % N and job-addressed ops route statelessly.  Defaults keep
-  /// the dense 1,2,3,... sequence single-Engine callers have always seen.
-  uint64_t job_id_start = 1;
-  uint64_t job_id_stride = 1;
 
   // Builder-style setters, chainable:
   //   Engine e(EngineOptions().with_threads(4).with_disk_cache(false));
@@ -139,11 +127,6 @@ struct EngineOptions {
   EngineOptions& with_sim_shards(int n) { sim_shards = n; return *this; }
   EngineOptions& with_async_workers(int n) { async_workers = n; return *this; }
   EngineOptions& with_max_inflight(size_t n) { max_inflight = n; return *this; }
-  EngineOptions& with_job_ids(uint64_t start, uint64_t stride) {
-    job_id_start = start;
-    job_id_stride = stride;
-    return *this;
-  }
 };
 
 class Engine {
@@ -153,10 +136,6 @@ class Engine {
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Process-default Engine backing the legacy free-function shims.
-  /// Constructed on first use with default (environment-resolved) options.
-  static Engine& shared();
 
   /// Options after construction-time resolution (threads/cache_dir/...
   /// filled in).
@@ -278,21 +257,9 @@ class Engine {
   /// latency summaries.  Embedded in every gpurfd response envelope.
   std::string metrics_json() const;
 
-  /// The same snapshot as a value, for shard aggregation (ISSUE 8): a
-  /// sharded daemon sums the per-Engine snapshots with
-  /// MetricsSnapshot::operator+= before serialising.  The `serialize`
-  /// histogram is the Server's to fill; it comes back empty here.
+  /// The same snapshot as a value.  The `serialize` histogram is the
+  /// Server's to fill; it comes back empty here.
   MetricsSnapshot metrics_snapshot() const;
-
-  // ------------------------------------------------- legacy futures (PR 3)
-
-  /// Thin shims over submit(): same signatures and result values as the
-  /// PR 3 API.  Results are value snapshots (safe to consume after other
-  /// submissions).  Blocks while max_inflight jobs are queued or running.
-  std::future<StatusOr<workloads::PipelineResult>> submit_pipeline(
-      std::string name);
-  std::future<StatusOr<sim::SimResult>> submit_simulate(std::string name,
-                                                        SimRequest req = {});
 
  private:
   /// Bind this Engine's pool + analysis cache to the calling thread for
@@ -320,12 +287,9 @@ class Engine {
   void ensure_executor();
   void executor_loop();
   void run_job(detail::JobImpl& job);
+  /// Orchestrate a fault or transient campaign: one sweep of child
+  /// simulate jobs, collected in submission order.
   void run_campaign(std::shared_ptr<detail::JobImpl> job);
-  void run_transient_campaign(std::shared_ptr<detail::JobImpl> job);
-  /// Shared orchestrator prologue: start the job as running; on failure
-  /// (cancelled / deadline before the coordinator span up) finalize it and
-  /// return false.
-  bool start_campaign(detail::JobImpl& job);
   void release_slot();
   void evict_terminal_jobs_locked() GPURF_REQUIRES(qmu_);
 

@@ -1,10 +1,10 @@
 #pragma once
 // First-class jobs on the Engine's async executor (ISSUE 4 tentpole).
 //
-// PR 3's submit_pipeline/submit_simulate returned bare std::futures: no
-// identity, no way to abort a multi-second tuning run, no visibility into
-// where a request is stuck, and strict FIFO ordering.  A Job replaces that
-// with a serving-grade handle:
+// A Job is the serving-grade handle for one unit of Engine work (a bare
+// std::future would give no identity, no way to abort a multi-second
+// tuning run, no visibility into where a request is stuck, and strict
+// FIFO ordering):
 //
 //   * stable id — addressable across the gpurfd wire protocol;
 //   * state machine — queued -> running -> {done, cancelled,
@@ -23,9 +23,6 @@
 // The handle is a shared_ptr view onto state owned jointly with the
 // Engine: it stays valid after the job finishes and (for terminal jobs)
 // after the Engine is destroyed.
-//
-// The old futures API survives as a thin shim over submit() in
-// api/engine.hpp — same signatures, same result values.
 
 #include <chrono>
 #include <condition_variable>

@@ -452,7 +452,6 @@ std::string to_json(const analysis::KernelReport& r) {
   w.field("num_insts", r.num_insts);
   w.field("static_pressure", r.static_pressure);
   w.field("alloc_pressure", r.alloc_pressure);
-  w.field("live_interval_pressure", r.live_interval_pressure);
   w.field("clean", r.clean());
   w.begin_array("reg_names");
   for (const auto& n : r.reg_names) w.element(n);

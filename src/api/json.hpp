@@ -87,10 +87,8 @@ std::string to_json(const TransientCampaignResult& r);
 /// {"op":"histograms"}.
 std::string to_json(const HistogramSnapshot& h, bool full);
 
-/// Engine/fleet metrics snapshot (ISSUE 8): the flat counter object every
-/// envelope has carried since ISSUE 4, plus per-stage histogram
-/// summaries.  Shard-aggregated via MetricsSnapshot::operator+= before
-/// serialisation on multi-Engine daemons.
+/// Engine metrics snapshot: the flat counter object every envelope
+/// carries, plus per-stage histogram summaries.
 std::string to_json(const MetricsSnapshot& m);
 
 /// Kernel lint report (PR 9): counts, pressures, undefined reads, dead

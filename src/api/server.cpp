@@ -29,8 +29,7 @@ namespace {
 namespace wl = gpurf::workloads;
 
 /// Response envelope builders: every reply — success or error — embeds the
-/// fleet's metrics snapshot (ISSUE 4 satellite; fleet-aggregated and
-/// histogram-bearing since ISSUE 8).
+/// Engine's metrics snapshot, latency histograms included.
 std::string envelope_error(const std::string& metrics, const Status& st,
                            int64_t retry_after_ms = -1) {
   JsonWriter w;
@@ -243,14 +242,7 @@ struct Server::QuotaTable {
 // ---------------------------------------------------------------- Server
 
 Server::Server(Engine& engine, ServerOptions opts)
-    : own_fleet_(std::make_unique<serve::EngineFleet>(engine)),
-      opts_(std::move(opts)),
-      quotas_(std::make_shared<QuotaTable>()) {
-  fleet_ = own_fleet_.get();
-}
-
-Server::Server(serve::EngineFleet& fleet, ServerOptions opts)
-    : fleet_(&fleet),
+    : engine_(engine),
       opts_(std::move(opts)),
       quotas_(std::make_shared<QuotaTable>()) {}
 
@@ -514,7 +506,7 @@ void Server::serve_connection(int fd, uint64_t conn_id) {
 }
 
 std::string Server::metrics_json_now() const {
-  MetricsSnapshot m = fleet_->metrics_snapshot();
+  MetricsSnapshot m = engine_.metrics_snapshot();
   m.serialize = serialize_hist_.snapshot();
   return to_json(m);
 }
@@ -556,18 +548,16 @@ std::string Server::handle_request(const std::string& line, SendLineFn* push) {
       } else if (op == "list") {
         JsonWriter w = envelope_begin();
         w.begin_array("workloads");
-        for (const auto& n : fleet_->shard(0).workload_names()) w.element(n);
+        for (const auto& n : engine_.workload_names()) w.element(n);
         w.end_array();
-        w.field("engines", static_cast<int64_t>(fleet_->num_shards()));
         resp = envelope_finish(metrics_json_now(), w);
       } else if (op == "metrics") {
         JsonWriter w = envelope_begin();
-        w.field("engines", static_cast<int64_t>(fleet_->num_shards()));
         resp = envelope_finish(metrics_json_now(), w);
       } else if (op == "histograms") {
         // Full bucket arrays per latency stage (summaries ride in every
         // envelope's metrics object; this op is for plotting).
-        MetricsSnapshot m = fleet_->metrics_snapshot();
+        MetricsSnapshot m = engine_.metrics_snapshot();
         m.serialize = serialize_hist_.snapshot();
         JsonWriter w = envelope_begin();
         w.begin_object("histograms");
@@ -583,21 +573,19 @@ std::string Server::handle_request(const std::string& line, SendLineFn* push) {
                  op == "watch") {
         resp = handle_job_op(req, op, push);
       } else if (op == "analyze") {
-        // Static kernel lint (PR 9): {"workload":name} routes to the shard
-        // that owns the kernel (so the analysis memo warmed here is the
-        // one simulate jobs reuse); {"kernel":asm} parses and analyzes an
-        // ad-hoc kernel on shard 0.
+        // Static kernel lint: {"workload":name} analyzes a bundled
+        // workload with its sample instance; {"kernel":asm} parses and
+        // analyzes an ad-hoc kernel.
         const JsonValue* wlname = req.get("workload");
         const JsonValue* ktext = req.get("kernel");
         StatusOr<analysis::KernelReport> rep = Status::InvalidArgument(
             "analyze requires a 'workload' name or inline 'kernel' asm");
         if (wlname && wlname->is_string()) {
           const std::string name = wlname->as_string();
-          rep = fleet_->shard(fleet_->shard_for_workload(name)).analyze(name);
+          rep = engine_.analyze(name);
         } else if (ktext && ktext->is_string()) {
-          Engine& eng = fleet_->shard(0);
-          StatusOr<ir::Kernel> k = eng.parse_kernel(ktext->as_string());
-          rep = k.ok() ? eng.analyze(*k)
+          StatusOr<ir::Kernel> k = engine_.parse_kernel(ktext->as_string());
+          rep = k.ok() ? engine_.analyze(*k)
                        : StatusOr<analysis::KernelReport>(k.status());
         }
         if (rep.ok()) {
@@ -687,14 +675,9 @@ std::string Server::handle_submit(const JsonValue& req,
   if (const JsonValue* d = req.get("deadline_ms"))
     jr.deadline_ms = d->as_int(0);
 
-  // Fingerprint-affine routing (ISSUE 8): the same workload always lands
-  // on the same engine shard, keeping its tune/analysis caches hot there.
-  const int shard = fleet_->shard_for_workload(wlname->as_string());
-  Engine& engine = fleet_->shard(shard);
-
   // Fail fast on unknown workloads: the submit itself reports NOT_FOUND
   // instead of parking a doomed job in the queue.
-  auto wlp = engine.workload(wlname->as_string());
+  auto wlp = engine_.workload(wlname->as_string());
   if (!wlp.ok()) return envelope_error(metrics_json_now(), wlp.status());
 
   // Per-token quotas (ISSUE 8): a token-bucket on submit rate and a cap
@@ -732,7 +715,7 @@ std::string Server::handle_submit(const JsonValue& req,
         ts->inflight >= opts_.token_max_inflight) {
       // Back-off hint: the mean job wall time is when a slot plausibly
       // frees up; clamped so a cold daemon still gives a sane hint.
-      const MetricsSnapshot m = fleet_->metrics_snapshot();
+      const MetricsSnapshot m = engine_.metrics_snapshot();
       const uint64_t term = m.jobs_done + m.jobs_failed + m.jobs_cancelled +
                             m.jobs_deadline_exceeded;
       const int64_t mean_ms =
@@ -750,7 +733,7 @@ std::string Server::handle_submit(const JsonValue& req,
 
   Job job;
   try {
-    job = engine.submit(std::move(jr));
+    job = engine_.submit(std::move(jr));
   } catch (...) {
     if (ts) {
       std::lock_guard<std::mutex> lock(ts->mu);
@@ -760,7 +743,7 @@ std::string Server::handle_submit(const JsonValue& req,
   }
   if (ts) {
     // The listener owns the state through shared_ptrs — it may fire after
-    // this Server is long gone (the Engines outlive it).
+    // this Server is long gone (the Engine outlives it).
     auto table = quotas_;
     auto state = ts;
     job.on_terminal([table, state] {
@@ -771,7 +754,6 @@ std::string Server::handle_submit(const JsonValue& req,
 
   JsonWriter w = envelope_begin();
   write_job_fields(w, job);
-  w.field("shard", static_cast<int64_t>(shard));
   return envelope_finish(metrics_json_now(), w);
 }
 
@@ -782,14 +764,7 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
     return envelope_error(
         metrics_json_now(),
         Status::InvalidArgument("'" + op + "' requires 'job'"));
-  const uint64_t id = static_cast<uint64_t>(idv->as_int());
-  if (id == 0)
-    return envelope_error(metrics_json_now(),
-                          Status::NotFound("no job with id 0"));
-  // Residue-class routing: job ids are disjoint per shard, so the id
-  // names its owner without any shared lookup table.
-  const int shard = fleet_->shard_for_job(id);
-  auto job = fleet_->shard(shard).find_job(id);
+  auto job = engine_.find_job(static_cast<uint64_t>(idv->as_int()));
   if (!job.ok()) return envelope_error(metrics_json_now(), job.status());
 
   bool watched_event = false;  // watch op: emitted at least the terminal tag

@@ -1,9 +1,8 @@
 #pragma once
-// gpurfd — the Engine's socket transport (ISSUE 4 tentpole; fleet-scale
-// serving since ISSUE 8).
+// gpurfd — the Engine's socket transport: AF_UNIX and TCP listeners,
+// auth tokens, per-token quotas and watch subscriptions.
 //
-// A Server fronts an EngineFleet (one or more Engines sharded by kernel
-// fingerprint — see serve/fleet.hpp) and speaks newline-delimited JSON
+// A Server fronts one Engine and speaks newline-delimited JSON
 // over a local AF_UNIX stream socket and/or a TCP listener: one request
 // object per line in, one response object per line out (watch and chunked
 // results push additional lines, below), connections are long-lived and
@@ -24,7 +23,7 @@
 //    "fault_seed":N,"fault_density":F,"fault_quality":B,
 //    // fault_campaign only (mode defaults to "perfect" here):
 //    "densities":[F,...],"maps_per_density":N,"base_seed":N}
-//                                         -> {"job":ID,"shard":N,"state":..}
+//                                         -> {"job":ID,"state":..}
 //   {"op":"status","job":ID}                        -> state + progress
 //   {"op":"wait","job":ID,"timeout_ms":N
 //    [,"stream":true,"chunk_bytes":N]}              -> state [+ "result"]
@@ -32,19 +31,11 @@
 //                     -> zero or more {"ok":true,"event":"progress",...}
 //                        lines, then one wait-style {"event":"terminal"}
 //   {"op":"cancel","job":ID}                        -> state
-//   {"op":"metrics"}             (fleet-aggregated across engine shards)
+//   {"op":"metrics"}
 //   {"op":"histograms"}          -> full log2 buckets per latency stage
 //   {"op":"analyze","workload":NAME | "kernel":ASM}  -> {"report":{...}}
 //                     (static lint: undefined reads, dead writes, pressure)
 //   {"op":"shutdown"}
-//
-// Sharding (ISSUE 8): submit routes by consistent hash of the workload's
-// kernel fingerprint, so each Engine shard's tune/analysis caches stay
-// hot for a stable subset of kernels; the response names the shard.  Job
-// ids are disjoint residue classes per shard (id-1 mod N), so
-// status/wait/cancel/watch route statelessly by id.  Rebalance on a
-// shard-count change is best-effort: the ring moves ~1/N of the kernels,
-// which merely warm up on their new shard (restart the daemon to resize).
 //
 // Chunked result streaming: a wait/watch with "stream":true splits a
 // result JSON larger than "chunk_bytes" out of the envelope — the
@@ -59,8 +50,8 @@
 //   {"ok":false,"error":{"code":"NOT_FOUND","message":...
 //                        [,"retry_after_ms":N]},"metrics":{...}}
 //
-// where "metrics" is the fleet-aggregated MetricsSnapshot (counters plus
-// per-stage latency summaries: queue_wait / tune / sim from the Engines,
+// where "metrics" is the Engine's MetricsSnapshot (counters plus
+// per-stage latency summaries: queue_wait / tune / sim from the Engine,
 // serialize recorded here per request) and error codes are the StatusCode
 // names from api/status.hpp.  Quota and queue-capacity rejections
 // (RESOURCE_EXHAUSTED) carry "retry_after_ms" — a structured back-off
@@ -77,7 +68,7 @@
 // slow or hostile peers.
 //
 // Threading: one accept thread per listener plus one thread per
-// connection; the Engines underneath do the real scheduling.  Connection
+// connection; the Engine underneath does the real scheduling.  Connection
 // threads are joinable and tracked in a registry keyed by connection id:
 // a finished handler parks its id on a reap list that the accept loop
 // joins before spawning the next connection (so a long-lived daemon never
@@ -100,7 +91,6 @@
 #include "api/engine.hpp"
 #include "api/json.hpp"
 #include "common/thread_annotations.hpp"
-#include "serve/fleet.hpp"
 
 namespace gpurf::api {
 
@@ -127,11 +117,8 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// Single-Engine server (the historical constructor): wraps `engine` in
-  /// a non-owning one-shard fleet internally.
+  /// `engine` must outlive the Server.
   Server(Engine& engine, ServerOptions opts);
-  /// Fleet server (ISSUE 8): `fleet` must outlive the Server.
-  Server(serve::EngineFleet& fleet, ServerOptions opts);
   ~Server();
 
   Server(const Server&) = delete;
@@ -182,12 +169,11 @@ class Server {
   std::string handle_submit(const JsonValue& req, const std::string& token);
   std::string handle_job_op(const JsonValue& req, const std::string& op,
                             SendLineFn* push);
-  /// Fleet metrics + this server's serialize histogram, as the envelope's
+  /// Engine metrics + this server's serialize histogram, as the envelope's
   /// "metrics" JSON.
   std::string metrics_json_now() const;
 
-  serve::EngineFleet* fleet_;
-  std::unique_ptr<serve::EngineFleet> own_fleet_;  ///< Engine& ctor path
+  Engine& engine_;
   ServerOptions opts_;
   int listen_fd_ = -1;       ///< AF_UNIX listener
   int tcp_listen_fd_ = -1;   ///< TCP listener
@@ -201,7 +187,7 @@ class Server {
   LatencyHistogram serialize_hist_;
   /// Per-token quota state.  shared_ptr: job terminal listeners decrement
   /// a token's in-flight count and may fire after this Server died (the
-  /// Engines outlive it), so they keep the table alive instead of
+  /// Engine outlives it), so they keep the table alive instead of
   /// touching Server members.
   std::shared_ptr<QuotaTable> quotas_;
   // Joinable connection-thread registry (see the threading note above).

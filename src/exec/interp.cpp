@@ -248,14 +248,12 @@ uint32_t BlockExec::exec_lane(const WarpState& ws, const Instruction& in,
     case Opcode::LD_GLOBAL: {
       const int64_t addr = static_cast<int64_t>(S(0)) + in.mem_offset;
       res.addr[lane] = static_cast<uint32_t>(addr);
-      if (step_mem_proven_) return ctx_.gmem->read_unchecked(res.addr[lane]);
       GPURF_CHECK(addr >= 0, "negative global address");
       return ctx_.gmem->read(static_cast<uint32_t>(addr));
     }
     case Opcode::LD_SHARED: {
       const int64_t addr = static_cast<int64_t>(S(0)) + in.mem_offset;
       res.addr[lane] = static_cast<uint32_t>(addr);
-      if (step_mem_proven_) return shared_[res.addr[lane]];
       GPURF_CHECK(addr >= 0 &&
                       addr < static_cast<int64_t>(shared_.size()),
                   "shared load out of bounds @" << addr);
@@ -374,6 +372,21 @@ inline void warp_setp(ir::CmpOp cmp, const uint32_t* a, const uint32_t* b,
       });
       break;
   }
+}
+
+/// Signed word address of every lane (inactive lanes compute garbage that
+/// the masked bounds test and accesses ignore).
+inline void lane_addresses(const uint32_t* base, int32_t offset,
+                           int64_t* addr) {
+  for (uint32_t l = 0; l < 32; ++l)
+    addr[l] = static_cast<int64_t>(base[l]) + offset;
+}
+
+/// Record the active lanes' addresses in the step's memory trace.
+inline void trace_addresses(const int64_t* addr, uint32_t mask,
+                            StepResult& res) {
+  for (uint32_t l = 0; l < 32; ++l)
+    if ((mask >> l) & 1u) res.addr[l] = static_cast<uint32_t>(addr[l]);
 }
 
 }  // namespace
@@ -583,46 +596,29 @@ void BlockExec::exec_warp(WarpState& ws, const DecodedInst& dec,
     case LaneOp::kSetpU:
       warp_setp(in.cmp, a, b, out, [](uint32_t x) { return x; });
       break;
-    // Memory reads stay masked per lane: an inactive lane's address may be
-    // garbage, and the memory models assert on out-of-bounds access.
+    // Memory reads test every active lane's address once per warp; a warp
+    // that fails the test replays through the scalar reference and keeps
+    // its results, so it raises the scalar error at the first failing lane
+    // or, for a lane the scalar rules accept (a global address at or past
+    // 2^32 wraps to a u32 word), loads the word the scalar path loads.
     case LaneOp::kLdGlobal:
-      if (step_mem_proven_) {
-        // Statically proven in bounds for every lane of every block: skip
-        // the per-lane checks (bit-identical — they could never fire).
-        for (uint32_t l = 0; l < kWarpSize; ++l) {
-          if (!((exec_mask >> l) & 1u)) continue;
-          res.addr[l] = a[l] + static_cast<uint32_t>(in.mem_offset);
-          out[l] = ctx_.gmem->read_unchecked(res.addr[l]);
-        }
-        break;
-      }
-      for (uint32_t l = 0; l < kWarpSize; ++l) {
-        if (!((exec_mask >> l) & 1u)) continue;
-        const int64_t addr = static_cast<int64_t>(a[l]) + in.mem_offset;
-        GPURF_CHECK(addr >= 0, "negative global address");
-        res.addr[l] = static_cast<uint32_t>(addr);
-        out[l] = ctx_.gmem->read(static_cast<uint32_t>(addr));
-      }
+    case LaneOp::kLdShared: {
+      alignas(64) int64_t addr[kWarpSize];
+      lane_addresses(a, in.mem_offset, addr);
+      const bool global = dec.lane_op == LaneOp::kLdGlobal;
+      const bool ok =
+          global ? ctx_.gmem->gather(addr, exec_mask, out)
+                 : !(warp_oob_lanes(addr, shared_.size()) & exec_mask);
+      if (ok && !global)
+        for (uint32_t l = 0; l < kWarpSize; ++l)
+          if ((exec_mask >> l) & 1u)
+            out[l] = shared_[static_cast<size_t>(addr[l])];
+      if (!ok)
+        for (uint32_t l = 0; l < kWarpSize; ++l)
+          if ((exec_mask >> l) & 1u) out[l] = exec_lane(ws, in, l, res);
+      trace_addresses(addr, exec_mask, res);
       break;
-    case LaneOp::kLdShared:
-      if (step_mem_proven_) {
-        for (uint32_t l = 0; l < kWarpSize; ++l) {
-          if (!((exec_mask >> l) & 1u)) continue;
-          res.addr[l] = a[l] + static_cast<uint32_t>(in.mem_offset);
-          out[l] = shared_[res.addr[l]];
-        }
-        break;
-      }
-      for (uint32_t l = 0; l < kWarpSize; ++l) {
-        if (!((exec_mask >> l) & 1u)) continue;
-        const int64_t addr = static_cast<int64_t>(a[l]) + in.mem_offset;
-        GPURF_CHECK(addr >= 0 &&
-                        addr < static_cast<int64_t>(shared_.size()),
-                    "shared load out of bounds @" << addr);
-        res.addr[l] = static_cast<uint32_t>(addr);
-        out[l] = shared_[static_cast<size_t>(addr)];
-      }
-      break;
+    }
     case LaneOp::kTex2d: {
       const auto& tex = ctx_.textures->at(in.tex);
       for (uint32_t l = 0; l < kWarpSize; ++l) {
@@ -639,8 +635,7 @@ void BlockExec::exec_warp(WarpState& ws, const DecodedInst& dec,
       break;
   }
 
-  if (dec.has_dst && !(ctx_.elide_dead_writes && dec.dead_dst))
-    write_dst_warp(ws, in, exec_mask, out);
+  if (dec.has_dst) write_dst_warp(ws, in, exec_mask, out);
 }
 
 void BlockExec::write_dst_warp(WarpState& ws, const Instruction& in,
@@ -715,51 +710,10 @@ StepResult BlockExec::step(uint32_t w) {
   // Data-path execution (control instructions have no lane effects).  The
   // dispatch flags come predecoded from the kernel analysis, so the hot
   // loop performs no opcode-table lookups.
-  // Dead-write elision (PR 9): a statically dead destination row is never
-  // read again, so the writeback — and for pure ALU ops the whole lane
-  // computation — can be skipped without observable effect.  Memory reads
-  // keep their side effects (bounds checks, the res.addr trace) and only
-  // drop the writeback; thread_insts was already counted above, so stats
-  // are unchanged too.
-  const bool elide = ctx_.elide_dead_writes && dec.dead_dst;
-  // Bounds-check elision (ISSUE 10): when the static memory-access pass
-  // proved every dynamic address of this site inside its target space for
-  // this launch, the checks below can never fire and are skipped.
-  step_mem_proven_ = ctx_.elide_bounds_checks && ctx_.mem_proven &&
-                     ctx_.mem_proven[dec.flat];
-  if (!dec.is_control && exec_mask != 0 && !(elide && !dec.is_mem_read)) {
-    const bool has_dst = dec.has_dst && !elide;
+  if (!dec.is_control && exec_mask != 0) {
     if (dec.is_store) {
-      if (step_mem_proven_) {
-        for (uint32_t l = 0; l < kWarpSize; ++l) {
-          if (!((exec_mask >> l) & 1u)) continue;
-          const uint32_t addr = read_operand(ws, in.srcs[0], l) +
-                                static_cast<uint32_t>(in.mem_offset);
-          res.addr[l] = addr;
-          const uint32_t v = read_operand(ws, in.srcs[1], l);
-          if (in.op == Opcode::ST_GLOBAL)
-            ctx_.gmem->write_unchecked(addr, v);
-          else
-            shared_[addr] = v;
-        }
-      } else {
-        for (uint32_t l = 0; l < kWarpSize; ++l) {
-          if (!((exec_mask >> l) & 1u)) continue;
-          const int64_t addr =
-              static_cast<int64_t>(read_operand(ws, in.srcs[0], l)) +
-              in.mem_offset;
-          GPURF_CHECK(addr >= 0, "negative store address");
-          res.addr[l] = static_cast<uint32_t>(addr);
-          const uint32_t v = read_operand(ws, in.srcs[1], l);
-          if (in.op == Opcode::ST_GLOBAL) {
-            ctx_.gmem->write(static_cast<uint32_t>(addr), v);
-          } else {
-            GPURF_CHECK(addr < static_cast<int64_t>(shared_.size()),
-                        "shared store out of bounds @" << addr);
-            shared_[static_cast<size_t>(addr)] = v;
-          }
-        }
-      }
+      if (!ctx_.use_soa || !store_warp(ws, in, exec_mask, res))
+        store_lanes(ws, in, exec_mask, res);
     } else if (ctx_.use_soa) {
       // Warp-vectorized SoA data path (default).
       exec_warp(ws, dec, exec_mask, res);
@@ -769,13 +723,52 @@ StepResult BlockExec::step(uint32_t w) {
       for (uint32_t l = 0; l < kWarpSize; ++l) {
         if (!((exec_mask >> l) & 1u)) continue;
         const uint32_t v = exec_lane(ws, in, l, res);
-        if (has_dst) write_dst(ws, in, l, v);
+        if (dec.has_dst) write_dst(ws, in, l, v);
       }
     }
   }
 
   advance(ws, in, exec_mask, res);
   return res;
+}
+
+bool BlockExec::store_warp(const WarpState& ws, const Instruction& in,
+                           uint32_t exec_mask, StepResult& res) {
+  alignas(64) uint32_t base[kWarpSize];
+  alignas(64) uint32_t vals[kWarpSize];
+  alignas(64) int64_t addr[kWarpSize];
+  gather_operand(ws, in.srcs[0], base);
+  gather_operand(ws, in.srcs[1], vals);
+  lane_addresses(base, in.mem_offset, addr);
+  if (in.op == Opcode::ST_GLOBAL) {
+    if (!ctx_.gmem->scatter(addr, exec_mask, vals)) return false;
+  } else {
+    if (warp_oob_lanes(addr, shared_.size()) & exec_mask) return false;
+    for (uint32_t l = 0; l < kWarpSize; ++l)
+      if ((exec_mask >> l) & 1u)
+        shared_[static_cast<size_t>(addr[l])] = vals[l];
+  }
+  trace_addresses(addr, exec_mask, res);
+  return true;
+}
+
+void BlockExec::store_lanes(const WarpState& ws, const Instruction& in,
+                            uint32_t exec_mask, StepResult& res) {
+  for (uint32_t l = 0; l < kWarpSize; ++l) {
+    if (!((exec_mask >> l) & 1u)) continue;
+    const int64_t addr =
+        static_cast<int64_t>(read_operand(ws, in.srcs[0], l)) + in.mem_offset;
+    GPURF_CHECK(addr >= 0, "negative store address");
+    res.addr[l] = static_cast<uint32_t>(addr);
+    const uint32_t v = read_operand(ws, in.srcs[1], l);
+    if (in.op == Opcode::ST_GLOBAL) {
+      ctx_.gmem->write(static_cast<uint32_t>(addr), v);
+    } else {
+      GPURF_CHECK(addr < static_cast<int64_t>(shared_.size()),
+                  "shared store out of bounds @" << addr);
+      shared_[static_cast<size_t>(addr)] = v;
+    }
+  }
 }
 
 void BlockExec::advance(WarpState& ws, const Instruction& in,

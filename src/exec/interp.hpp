@@ -19,6 +19,13 @@
 // destination row is written back under the active mask.  The per-lane
 // scalar path (exec_lane) is retained as the bit-identical reference for
 // asserts and differential fuzzing (ExecContext::use_soa = false).
+// Memory has one checked path in both masters: SoA loads and stores
+// compute every active lane's address and test the warp against its
+// buffer once (GlobalMemory::gather/scatter, BlockExec for shared
+// memory); only a warp that fails the test replays lane by lane through
+// the scalar path, so it raises the same gpurf::Error at the same lane
+// after the same partial stores, and a wrapped global address (at or past
+// 2^32, which the scalar path reads as a u32 word) loads the same word.
 // run_functional() additionally shards independent grid blocks across the
 // shared thread pool with per-shard write-combine buffers merged in grid
 // order, so parallel runs stay bit-identical to the serial schedule.
@@ -143,6 +150,17 @@ class BlockExec {
                uint32_t exec_mask, StepResult& res);
   void pop_reconverged(WarpState& ws);
 
+  // Stores.  store_warp is the SoA path: one bounds test for the whole
+  // warp, then the scatter; it returns false — having written nothing —
+  // when some active lane is out of bounds.  store_lanes is the per-lane
+  // reference loop (scalar mode, and the SoA fallback): it writes lane by
+  // lane and raises its error at the first lane its own check rejects,
+  // which a global address at or past 2^32 passes as its u32 wrap.
+  bool store_warp(const WarpState& ws, const gpurf::ir::Instruction& in,
+                  uint32_t exec_mask, StepResult& res);
+  void store_lanes(const WarpState& ws, const gpurf::ir::Instruction& in,
+                   uint32_t exec_mask, StepResult& res);
+
   ExecContext& ctx_;
   const gpurf::ir::Kernel& k_;
   /// Shared immutable analysis (CFG, ipdoms, decoded instruction stream);
@@ -151,10 +169,6 @@ class BlockExec {
   uint32_t ctaid_x_, ctaid_y_;
   std::vector<WarpState> warps_;
   std::vector<uint32_t> shared_;
-  /// Set by step() for the instruction in flight: the static memory pass
-  /// proved every dynamic address of this site in bounds and elision is on
-  /// (ISSUE 10) — the load paths skip their GPURF_CHECKs.
-  bool step_mem_proven_ = false;
 };
 
 /// Run the entire grid functionally (block by block).  Returns the total

@@ -96,11 +96,6 @@ KernelAnalysis::KernelAnalysis(const ir::Kernel& k)
           in.op == ir::Opcode::ST_GLOBAL || in.op == ir::Opcode::ST_SHARED;
       d.is_control = in.op == ir::Opcode::BRA || in.op == ir::Opcode::RET ||
                      in.op == ir::Opcode::BAR;
-      d.is_mem_read = d.lane_op == LaneOp::kLdGlobal ||
-                      d.lane_op == LaneOp::kLdShared ||
-                      d.lane_op == LaneOp::kTex2d;
-      d.dead_dst = d.has_dst && dataflow_.dst_dead(blk, i);
-      d.flat = static_cast<uint32_t>(decoded_.size());
       decoded_.push_back(d);
     }
   }

@@ -62,18 +62,6 @@ struct DecodedInst {
   bool has_dst = false;
   bool is_store = false;    ///< ST_GLOBAL / ST_SHARED
   bool is_control = false;  ///< BRA / RET / BAR (no lane data path)
-  /// LD_GLOBAL / LD_SHARED / TEX2D: side effects (bounds checks, the
-  /// memory trace) must still execute when the destination write is
-  /// elided.
-  bool is_mem_read = false;
-  /// Destination is statically dead right after this write (PR 9): the
-  /// interpreter may skip quantize/range-check/writeback — and for pure
-  /// ALU ops the whole data path — without observable effect.
-  bool dead_dst = false;
-  /// Block-major flattened instruction index (position in the decoded
-  /// stream).  Indexes launch-dependent side tables such as
-  /// ExecContext::mem_proven (ISSUE 10).
-  uint32_t flat = 0;
 };
 
 class KernelAnalysis {
@@ -85,7 +73,7 @@ class KernelAnalysis {
 
   /// Instruction-granular dataflow (PR 9): per-point live sets, dead-dst
   /// flags, linear live intervals — computed once and cached beside the
-  /// CFG, shared by the interpreter, allocator and soft-error model.
+  /// CFG, shared by the lint report and the soft-error model.
   const analysis::Dataflow& dataflow() const { return dataflow_; }
 
   /// Decoded instruction at (block, index) — contiguous block-major layout.

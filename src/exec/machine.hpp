@@ -20,6 +20,17 @@ namespace gpurf::exec {
 
 class KernelAnalysis;
 
+/// Lanes (bit l = lane l of a 32-lane warp) whose signed word address
+/// lies outside [0, n): one branch-free sweep, so a warp pays a single
+/// bounds test instead of one per lane.  Inactive lanes may carry garbage
+/// addresses; callers mask the result.
+inline uint32_t warp_oob_lanes(const int64_t* addr, uint64_t n) {
+  uint32_t bad = 0;
+  for (uint32_t l = 0; l < 32; ++l)
+    bad |= static_cast<uint32_t>(static_cast<uint64_t>(addr[l]) >= n) << l;
+  return bad;
+}
+
 /// Flat word-addressed global memory.  Buffers are bump-allocated; an
 /// address is an index into the word array.  A 128-byte coalescing line is
 /// 32 consecutive words.
@@ -62,15 +73,30 @@ class GlobalMemory {
     if (!dirty_.empty()) dirty_[addr >> 6] |= uint64_t{1} << (addr & 63);
   }
 
-  // Unchecked variants for accesses the static memory pass proved in
-  // bounds (ExecContext::elide_bounds_checks): the proof guarantees the
-  // elided check could never have fired, so behaviour is bit-identical by
-  // construction.  write_unchecked still feeds the write-log bitmap —
-  // elision must never change what block-parallel merge copies.
-  uint32_t read_unchecked(uint32_t addr) const { return words_[addr]; }
-  void write_unchecked(uint32_t addr, uint32_t v) {
-    words_[addr] = v;
-    if (!dirty_.empty()) dirty_[addr >> 6] |= uint64_t{1} << (addr & 63);
+  /// Warp-wide checked gather / scatter — the interpreter's SoA memory
+  /// path.  `addr` holds one signed word address per lane; only lanes set
+  /// in `mask` take part.  One bounds test covers the whole warp: when any
+  /// active lane falls outside the image nothing is read or written and
+  /// the call returns false, so the caller replays the warp lane by lane
+  /// through read()/write() to raise the exact error at the exact lane.
+  /// The warp test is stricter than the per-lane one: an address at or
+  /// past 2^32 fails here but reaches read()/write() as its u32 wrap, so
+  /// the replay must keep each lane's result.
+  bool gather(const int64_t* addr, uint32_t mask, uint32_t* out) const {
+    if (warp_oob_lanes(addr, words_.size()) & mask) return false;
+    for (uint32_t l = 0; l < 32; ++l)
+      if ((mask >> l) & 1u) out[l] = words_[static_cast<size_t>(addr[l])];
+    return true;
+  }
+  bool scatter(const int64_t* addr, uint32_t mask, const uint32_t* vals) {
+    if (warp_oob_lanes(addr, words_.size()) & mask) return false;
+    for (uint32_t l = 0; l < 32; ++l) {
+      if (!((mask >> l) & 1u)) continue;
+      const size_t a = static_cast<size_t>(addr[l]);
+      words_[a] = vals[l];
+      if (!dirty_.empty()) dirty_[a >> 6] |= uint64_t{1} << (a & 63);
+    }
+    return true;
   }
 
   /// Write-combine support for block-parallel functional execution: a shard
@@ -209,30 +235,6 @@ struct ExecContext {
   /// still own the contract themselves.
   bool use_soa = true;
   bool block_parallel = true;
-
-  /// Skip quantize/range-check/writeback for destination rows whose
-  /// register is statically dead at the write point (PR 9) — pure ALU
-  /// instructions with a dead destination skip the data path entirely;
-  /// memory reads still execute (bounds checks and the StepResult address
-  /// trace are observable) but drop the dead writeback.  Architectural
-  /// outputs are bit-identical either way; the flag only trades replay
-  /// time.  Off by default so the timing simulator's per-instruction
-  /// machinery (and the soft-error model's register images) see every
-  /// write exactly as before.
-  bool elide_dead_writes = false;
-
-  /// Skip the dynamic bounds check (and the addr >= 0 guard) for memory
-  /// instructions the static memory-access pass proved in bounds against
-  /// this launch (ISSUE 10).  `mem_proven` is a caller-owned per-
-  /// flattened-instruction flag array (DecodedInst::flat indexes it; 1 =
-  /// every dynamic address of that site is statically inside the target
-  /// space).  Bit-identical by construction — a proven check can never
-  /// fire.  Off by default: the timing simulator's soft-error model
-  /// *relies* on checks firing for flipped address registers (DUE
-  /// detection), so only functional replay turns this on
-  /// (workloads::RunOptions::elide_bounds_checks).
-  bool elide_bounds_checks = false;
-  const uint8_t* mem_proven = nullptr;
 
   // Statistics accumulated during execution.  Under block-parallel runs
   // thread_insts is a per-shard reduction folded in grid order, never a

@@ -19,8 +19,7 @@
 //    register occupies, and per-(block, instruction) live-register sets
 //    borrowed from the instruction-granular dataflow pass cached in the
 //    KernelAnalysis (src/analysis/dataflow.*, PR 9) — the same per-point
-//    facts the interpreter's dead-write elision and the allocator's
-//    live-range packing consume.  It also implements the corruption
+//    facts the kernel lint reports.  It also implements the corruption
 //    round-trip: reconstruct the stored (truncated / encoded) payload of
 //    the victim register, flip the struck bit, and decompress back
 //    through the Value Extractor / Value Converter into the architectural

@@ -13,9 +13,8 @@
 // in a versioned on-disk cache under PipelineOptions::cache_dir.  The
 // public entry point is gpurf::Engine (src/api/engine.hpp), which owns one
 // PipelineCache per session — two Engines with different options never
-// share state.  The free run_pipeline() below survives as a thin shim over
-// the process-default Engine for legacy callers; compute_pipeline() is the
-// raw, memo-free computation used by benches and determinism tests.
+// share state.  compute_pipeline() is the raw, memo-free computation used
+// by benches and determinism tests.
 
 #include <atomic>
 #include <condition_variable>
@@ -157,12 +156,6 @@ class PipelineCache {
   std::map<std::string, Entry> cache_
       GPURF_GUARDED_BY(mu_);  ///< node-stable addresses
 };
-
-/// Legacy shim: run (or fetch the memoized) pipeline on the process-default
-/// Engine (api/engine.hpp).  New code should hold an Engine and call
-/// engine.pipeline() for session-scoped configuration and Status-based
-/// error handling.  Defined in src/api/engine.cpp.
-const PipelineResult& run_pipeline(const Workload& w);
 
 // ------------------------------------------------------- on-disk pmap cache
 //

@@ -33,7 +33,7 @@ std::unique_ptr<gpurf::quality::QualityMetric> Workload::make_metric(
 }
 
 std::shared_ptr<const Workload::MemProofs> Workload::mem_proofs(
-    const Instance& inst, bool footprints) const {
+    const Instance& inst) const {
   // Key: everything the proofs depend on beyond the kernel text.
   char head[96];
   std::snprintf(head, sizeof head, "%ux%ux%ux%u|%zu|", inst.launch.grid_x,
@@ -45,25 +45,15 @@ std::shared_ptr<const Workload::MemProofs> Workload::mem_proofs(
     std::snprintf(buf, sizeof buf, "%x,", p);
     key += buf;
   }
-
-  const bool grid_over_cap =
-      uint64_t(inst.launch.grid_x) * inst.launch.grid_y >
-      analysis::MemoryAccessOptions{}.max_blocks;
   {
     std::lock_guard<std::mutex> lock(mem_mu_);
     auto it = mem_cache_.find(key);
-    // An elision-only entry is upgraded when footprints are wanted —
-    // unless the grid exceeds the solve cap, where retrying cannot
-    // improve the verdicts.
-    if (it != mem_cache_.end() &&
-        (!footprints || it->second->mem.footprints_computed || grid_over_cap))
-      return it->second;
+    if (it != mem_cache_.end()) return it->second;
   }
 
   auto proofs = std::make_shared<MemProofs>();
   analysis::MemoryAccessOptions mo;
   mo.param_values = &inst.params;
-  mo.footprints = footprints;
   proofs->mem = analysis::analyze_memory_accesses(kernel_, inst.launch, mo);
   proofs->gmem_words = inst.gmem.size();
   proofs->proven = analysis::prove_in_bounds(
@@ -75,12 +65,9 @@ std::shared_ptr<const Workload::MemProofs> Workload::mem_proofs(
       (proofs->mem.loads_local && proofs->mem.stores_disjoint) ||
       spec_.assume_disjoint;
 
+  // A concurrent replay may have raced us here; both results are equal.
   std::lock_guard<std::mutex> lock(mem_mu_);
-  auto& slot = mem_cache_[key];
-  // Keep the stronger entry if a concurrent probe raced us there.
-  if (!slot || (footprints && !slot->mem.footprints_computed))
-    slot = std::move(proofs);
-  return slot;
+  return mem_cache_.emplace(key, std::move(proofs)).first->second;
 }
 
 std::vector<float> Workload::run(
@@ -99,26 +86,16 @@ std::vector<float> Workload::run(
   ctx.precision = pmap;
   ctx.range_check = range_check;
   ctx.use_soa = opt.use_soa;
-  ctx.elide_dead_writes = opt.elide_dead_writes;
-
-  // Static memory proofs (ISSUE 10).  Block-parallel execution now
-  // requires the no-cross-block-reads contract proven (or waived); the
-  // per-block footprint solves are only paid when parallelism is actually
-  // reachable (several blocks and a real pool).  Bounds-check elision uses
-  // the launch-wide solve either way.
-  const bool want_parallel =
+  // Block-parallel replay requires the no-cross-block-reads contract
+  // proven (or waived), so the proofs are solved exactly when run_functional
+  // could actually shard the grid: several blocks, a real pool, and not
+  // already inside a pool worker (tuner probes replay serially).
+  const auto& pool = gpurf::common::ThreadPool::current();
+  ctx.block_parallel =
       opt.block_parallel &&
       uint64_t(inst.launch.grid_x) * inst.launch.grid_y > 1 &&
-      gpurf::common::ThreadPool::instance().size() > 1;
-  std::shared_ptr<const MemProofs> proofs;
-  if (opt.elide_bounds_checks || want_parallel)
-    proofs = mem_proofs(inst, /*footprints=*/want_parallel);
-  ctx.block_parallel =
-      opt.block_parallel && (!want_parallel || proofs->parallel_ok);
-  if (proofs && opt.elide_bounds_checks) {
-    ctx.elide_bounds_checks = true;
-    ctx.mem_proven = proofs->proven.data();
-  }
+      pool.size() > 1 && !gpurf::common::in_pool_worker() &&
+      mem_proofs(inst)->parallel_ok;
 
   std::call_once(analysis_once_,
                  [&] { analysis_ = gpurf::exec::analyze_kernel(kernel_); });

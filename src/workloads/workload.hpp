@@ -53,18 +53,6 @@ enum class Scale { kSample, kFull };
 struct RunOptions {
   bool use_soa = true;
   bool block_parallel = true;
-  /// Skip statically dead destination writebacks (PR 9).  Bit-identical
-  /// outputs by construction (a value feeding any store is live at the
-  /// store), pinned by the fuzz and workload differential tests; on by
-  /// default because functional replay only observes memory.
-  bool elide_dead_writes = true;
-  /// Skip dynamic bounds checks for accesses the static memory pass proved
-  /// in bounds against this instance (ISSUE 10).  Bit-identical by
-  /// construction — a proven check can never fire — pinned by the fuzz
-  /// oracle and bench_analysis identity gates.  On by default in replay;
-  /// the timing simulator never elides (its soft-error model needs checks
-  /// firing on flipped address registers).
-  bool elide_bounds_checks = true;
   uint64_t* thread_insts = nullptr;  ///< out: executed thread instructions
   /// Cooperative cancellation/deadline checkpoint, polled at the start of
   /// every functional replay (a replay itself always runs to completion,
@@ -110,13 +98,12 @@ class Workload {
                              nullptr,
                          const RunOptions& opt = {}) const;
 
-  /// Static memory proofs for one launch shape (ISSUE 10): per-instruction
-  /// in-bounds flags (bounds-check elision) plus the disjointness verdicts
-  /// gating block-parallel replay / sharded simulation.  Proofs depend on
-  /// (launch geometry, params, gmem size), so they are cached per key —
-  /// tuner probes replaying the same instance shape pay the solve once.
-  /// `footprints` requests the per-block disjointness solves (skipped by
-  /// elision-only callers; a cached entry is upgraded on demand).
+  /// Static memory proofs for one launch shape: the disjointness verdicts
+  /// gating block-parallel replay and sharded simulation, plus the
+  /// per-instruction in-bounds flags the lint reports as proof coverage.
+  /// Proofs depend on (launch geometry, params, gmem size), so they are
+  /// cached per key — replays of the same instance shape pay the solve
+  /// once.
   struct MemProofs {
     analysis::MemoryAccessAnalysis mem;
     std::vector<uint8_t> proven;  ///< per flattened instruction
@@ -125,8 +112,7 @@ class Workload {
     bool parallel_ok = false;  ///< loads_local proven or waived
     bool shard_ok = false;     ///< loads_local && stores_disjoint, or waived
   };
-  std::shared_ptr<const MemProofs> mem_proofs(const Instance& inst,
-                                              bool footprints = true) const;
+  std::shared_ptr<const MemProofs> mem_proofs(const Instance& inst) const;
 
  protected:
   Workload(WorkloadSpec spec, std::string_view asm_text);

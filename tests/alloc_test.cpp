@@ -8,7 +8,6 @@
 #include <bit>
 
 #include "alloc/slice_alloc.hpp"
-#include "analysis/dataflow.hpp"
 #include "analysis/liveness.hpp"
 #include "analysis/range_analysis.hpp"
 #include "ir/parser.hpp"
@@ -180,66 +179,6 @@ TEST(SliceAlloc, RequiresInputsForRequestedPacking) {
   EXPECT_THROW(allocate_slices(k, nullptr, nullptr, ints), gpurf::Error);
   AllocOptions floats{false, true};
   EXPECT_THROW(allocate_slices(k, nullptr, nullptr, floats), gpurf::Error);
-}
-
-TEST(LiveIntervals, DeadWritesFreePhysicalRows) {
-  // %scratch is written but never read; classic interference still gives
-  // its def edges to everything live there, so baseline colouring charges
-  // a register for it.  The live-interval graph drops those edges (the
-  // write is elided before it reaches the RF), so the pressure shrinks.
-  auto k = parse_kernel(R"(
-.kernel dead
-.reg s32 %a
-.reg s32 %b
-.reg s32 %scratch
-entry:
-  mov.s32 %a, %tid.x
-  mov.s32 %b, 5
-  mul.s32 %scratch, %a, %b
-  add.s32 %a, %a, %b
-  st.global.s32 [%a], %a
-  ret
-)");
-  EXPECT_EQ(baseline_pressure(k), 3u);
-  EXPECT_EQ(live_interval_pressure(k), 2u);
-}
-
-TEST(LiveIntervals, AllocationRespectsRefinedInterference) {
-  // live_intervals mode over all bundled workloads: the table must still
-  // keep *refined*-interfering registers on disjoint slices, and the
-  // pressure must never exceed the live-interval colouring bound.
-  for (const auto& w : gpurf::workloads::make_all_workloads()) {
-    const auto& k = w->kernel();
-    const auto inst = w->make_instance(gpurf::workloads::Scale::kSample, 0);
-    const auto ranges = analysis::analyze_ranges(k, inst.launch);
-    AllocOptions opt{true, false};
-    opt.live_intervals = true;
-    const auto res = allocate_slices(k, &ranges, nullptr, opt);
-    EXPECT_LE(res.num_physical_regs, live_interval_pressure(k))
-        << w->spec().name;
-
-    const auto cfg = analysis::build_cfg(k);
-    const auto df = analysis::compute_dataflow(k, cfg);
-    const auto adj = analysis::build_live_interference(k, cfg, df);
-    auto overlap = [](const SliceLoc& a, const SliceLoc& b) {
-      return a.phys_reg == b.phys_reg && (a.mask & b.mask) != 0;
-    };
-    for (uint32_t r1 = 0; r1 < k.num_regs(); ++r1) {
-      if (!res.table[r1].valid) continue;
-      for (uint32_t r2 = r1 + 1; r2 < k.num_regs(); ++r2) {
-        if (!res.table[r2].valid || !adj[r1].test(r2)) continue;
-        const auto& e1 = res.table[r1];
-        const auto& e2 = res.table[r2];
-        bool conflict = overlap(e1.r0, e2.r0);
-        if (e1.split) conflict |= overlap(e1.r1, e2.r0);
-        if (e2.split) conflict |= overlap(e1.r0, e2.r1);
-        if (e1.split && e2.split) conflict |= overlap(e1.r1, e2.r1);
-        EXPECT_FALSE(conflict)
-            << w->spec().name << ": %" << k.regs[r1].name << " and %"
-            << k.regs[r2].name << " interfere but share slices";
-      }
-    }
-  }
 }
 
 TEST(SliceAlloc, PredicatesExcluded) {

@@ -427,38 +427,5 @@ TEST(Dataflow, IntervalsCoverEveryLivePoint) {
   }
 }
 
-TEST(Dataflow, LiveInterferenceIsSubgraph) {
-  // The liveness-refined interference graph never adds an edge the classic
-  // construction lacks, and a never-read register interferes with nothing.
-  auto k = parse_kernel(R"(
-.kernel sub
-.reg s32 %a
-.reg s32 %b
-.reg s32 %scratch
-entry:
-  mov.s32 %a, %tid.x
-  mov.s32 %b, 5
-  mul.s32 %scratch, %a, %b
-  add.s32 %a, %a, %b
-  st.global.s32 [%a], %a
-  ret
-)");
-  Cfg cfg = build_cfg(k);
-  const Dataflow df = compute_dataflow(k, cfg);
-  const auto live = compute_liveness(k, cfg);
-  const auto classic = build_interference(k, cfg, live);
-  const auto refined = build_live_interference(k, cfg, df);
-  const uint32_t scratch = k.find_reg("scratch");
-  for (uint32_t r1 = 0; r1 < k.num_regs(); ++r1)
-    for (uint32_t r2 = 0; r2 < k.num_regs(); ++r2)
-      if (refined[r1].test(r2)) {
-        EXPECT_TRUE(classic[r1].test(r2)) << r1 << " vs " << r2;
-      }
-  // classic gives the dead mul's destination edges to {a, b}; refined
-  // drops them entirely.
-  EXPECT_GT(classic[scratch].count(), 0u);
-  EXPECT_EQ(refined[scratch].count(), 0u);
-}
-
 }  // namespace
 }  // namespace gpurf::analysis

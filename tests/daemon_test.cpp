@@ -20,7 +20,6 @@
 #include "api/engine.hpp"
 #include "api/json.hpp"
 #include "api/server.hpp"
-#include "serve/fleet.hpp"
 
 namespace gpurf {
 namespace {
@@ -195,7 +194,6 @@ TEST(Daemon, AnalyzeOpReturnsKernelReport) {
   EXPECT_TRUE(r->get("undefined_reads")->items.empty());
   EXPECT_GT(r->get("static_pressure")->as_int(), 0);
   EXPECT_GT(r->get("alloc_pressure")->as_int(), 0);
-  EXPECT_GT(r->get("live_interval_pressure")->as_int(), 0);
   EXPECT_FALSE(r->get("intervals")->items.empty());
 
   // Inline kernel with an undefined read: the analysis itself succeeds
@@ -543,20 +541,19 @@ TEST(Daemon, OverlongSocketPathIsInvalidArgumentOnBothEnds) {
 // --------------------------------------------------- TCP shutdown stress
 //
 // ISSUE 8 satellite: the ShutdownUnderConcurrentClients scenario, over
-// TCP against a sharded fleet, with the new ops (watch, cancel) in the
-// mix.  Run under TSan this is the tripwire for races between the quota
-// table, the watch push path and the joinable-thread shutdown sequence.
+// TCP against one Engine, with the new ops (watch, cancel) in the mix.
+// Run under TSan this is the tripwire for races between the quota table,
+// the watch push path and the joinable-thread shutdown sequence.
 
 TEST(Daemon, TcpShutdownStressWithSubmitCancelWatch) {
-  serve::EngineFleet fleet(
-      EngineOptions().with_threads(1).with_disk_cache(false), 2);
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
   for (int round = 0; round < 3; ++round) {
     std::atomic<bool> go{false};
     std::atomic<int> responses{0};
     {
       api::ServerOptions sopts;
       sopts.listen_port = 0;
-      api::Server server(fleet, sopts);
+      api::Server server(engine, sopts);
       ASSERT_TRUE(server.start().ok());
       const int port = server.tcp_port();
       ASSERT_GT(port, 0);
@@ -604,9 +601,9 @@ TEST(Daemon, TcpShutdownStressWithSubmitCancelWatch) {
       for (auto& t : clients) t.join();
     }
     EXPECT_GT(responses.load(), 0) << "round " << round;
-    // The fleet survives each server generation; drain between rounds so
+    // The Engine survives each server generation; drain between rounds so
     // cancelled stragglers do not pile up.
-    fleet.drain_all(5000);
+    engine.drain(5000);
   }
 }
 

@@ -290,24 +290,27 @@ TEST(Engine, AsyncSubmissionsMatchSyncResults) {
                     .with_async_workers(2)
                     .with_max_inflight(4));
 
-  auto fut_pr = engine.submit_pipeline("DWT2D");
+  Job job_pr = engine.submit(JobRequest::pipeline("DWT2D"));
   SimRequest req;
   req.mode = wl::SimMode::kCompressedHigh;
   req.scale = wl::Scale::kSample;
-  auto fut_sim = engine.submit_simulate("DWT2D", req);
-  auto fut_bad = engine.submit_pipeline("NoSuchKernel");
+  Job job_sim = engine.submit(JobRequest::simulate("DWT2D", req));
+  Job job_bad = engine.submit(JobRequest::pipeline("NoSuchKernel"));
+  job_pr.wait();
+  job_sim.wait();
+  job_bad.wait();
 
-  auto async_pr = fut_pr.get();
+  auto async_pr = job_pr.pipeline_result();
   ASSERT_TRUE(async_pr.ok()) << async_pr.status().to_string();
   auto sync_pr = engine.pipeline("DWT2D");
   ASSERT_TRUE(sync_pr.ok());
   expect_same_pipeline(**sync_pr, *async_pr);
 
-  auto async_sim = fut_sim.get();
+  auto async_sim = job_sim.sim_result();
   ASSERT_TRUE(async_sim.ok()) << async_sim.status().to_string();
   EXPECT_GT(async_sim->stats.ipc(), 0.0);
 
-  auto bad = fut_bad.get();
+  auto bad = job_bad.pipeline_result();
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
 

@@ -404,6 +404,117 @@ entry:
   EXPECT_THROW(run_functional(rig.ctx), gpurf::Error);
 }
 
+// One checked memory path: SoA tests a warp's addresses once and only
+// replays lane by lane when some lane fails; that replay must raise the
+// scalar reference's error at the same lane after the same partial
+// stores.  Warp 1 of a 48-thread block is partially valid (16 lanes) and
+// its lane 8 (thread 40) is pushed out of bounds: far past the end, or —
+// through the -64 word offset every access carries — below zero.
+TEST(Interp, OutOfBoundsLaneFaultsIdenticallyInSoaAndScalar) {
+  struct Case {
+    const char* space;  // "global" | "shared"
+    bool store;
+    bool negative;      // else 1000000 words past the thread's slot
+    const char* message;
+  };
+  const uint32_t kThreads = 48, kBad = 40;
+  const Case cases[] = {
+      {"global", true, false, "global store out of bounds @"},
+      {"global", true, true, "negative store address"},
+      {"global", false, false, "global load out of bounds @"},
+      {"global", false, true, "negative global address"},
+      {"shared", true, false, "shared store out of bounds @"},
+      {"shared", false, true, "shared load out of bounds @-64"},
+  };
+  for (const Case& c : cases) {
+    const std::string sp = c.space;
+    const bool shared = sp == "shared";
+    std::string text = ".kernel oob\n.param s32 out\n.reg s32 %x\n"
+                       ".reg s32 %a\n.reg s32 %v\n.reg pred %p\nentry:\n"
+                       "  mov.s32 %x, %tid.x\n"
+                       "  setp.eq.s32 %p, %x, " + std::to_string(kBad) + "\n";
+    text += shared ? "  add.s32 %a, %x, 64\n" : "  add.s32 %a, %x, $out\n"
+                                                 "  add.s32 %a, %a, 64\n";
+    text += c.negative ? "  @%p mov.s32 %a, 0\n"
+                       : "  @%p add.s32 %a, %a, 1000000\n";
+    text += c.store ? "  st." + sp + ".s32 [%a-64], %x\n"
+                    : "  ld." + sp + ".s32 %v, [%a-64]\n";
+    text += "  ret\n";
+
+    std::vector<uint32_t> images[2];
+    for (const bool soa : {true, false}) {
+      Rig rig(text, LaunchConfig{1, 1, kThreads, 1}, {});
+      rig.k.shared_bytes = kThreads * 4;
+      const uint32_t out = rig.gmem.alloc(64);
+      rig.ctx.params = {out};
+      rig.ctx.use_soa = soa;
+      std::string expected = c.message;
+      if (expected.back() == '@')
+        expected += std::to_string(kBad + (shared ? 0 : out) + 1000000);
+      try {
+        run_functional(rig.ctx);
+        ADD_FAILURE() << text << "did not fault (soa=" << soa << ")";
+      } catch (const gpurf::Error& e) {
+        EXPECT_EQ(std::string(e.what()), expected) << text << "soa=" << soa;
+      }
+      const auto view = rig.gmem.view(out, 64);
+      images[soa ? 0 : 1].assign(view.begin(), view.end());
+    }
+    // Identical partial state in both modes; a faulting global store has
+    // written exactly the lanes before the failing one.
+    EXPECT_EQ(images[0], images[1]) << text;
+    if (!shared && c.store) {
+      for (uint32_t t = 0; t < 64; ++t)
+        EXPECT_EQ(images[0][t], t < kBad ? t : 0u) << text << "word " << t;
+    }
+  }
+
+  // A global address at or past 2^32 fails the warp test but not the
+  // scalar one, which accesses its u32 wrap: lane 8 of warp 1 loads or
+  // stores [0xffffffff+1], i.e. word 0, and SoA must keep the replayed
+  // lanes.  Every other thread t accesses word t+1; loaded values are
+  // copied to word 64+t.
+  for (const bool store : {false, true}) {
+    std::string text =
+        ".kernel wrap\n.param s32 out\n.reg s32 %x\n.reg s32 %a\n"
+        ".reg s32 %v\n.reg pred %p\nentry:\n"
+        "  mov.s32 %x, %tid.x\n"
+        "  setp.eq.s32 %p, %x, " + std::to_string(kBad) + "\n"
+        "  add.s32 %a, %x, $out\n"
+        "  @%p mov.s32 %a, -1\n";
+    text += store ? "  st.global.s32 [%a+1], %x\n"
+                  : "  ld.global.s32 %v, [%a+1]\n"
+                    "  add.s32 %a, %x, $out\n"
+                    "  st.global.s32 [%a+64], %v\n";
+    text += "  ret\n";
+    std::vector<uint32_t> images[2];
+    for (const bool soa : {true, false}) {
+      Rig rig(text, LaunchConfig{1, 1, kThreads, 1}, {});
+      std::vector<uint32_t> init(128);
+      for (uint32_t i = 0; i < 128; ++i) init[i] = 1000 + i;
+      const uint32_t out = rig.gmem.alloc(init);
+      ASSERT_EQ(out, 0u);
+      rig.ctx.params = {out};
+      rig.ctx.use_soa = soa;
+      run_functional(rig.ctx);
+      const auto view = rig.gmem.view(out, 128);
+      images[soa ? 0 : 1].assign(view.begin(), view.end());
+    }
+    EXPECT_EQ(images[0], images[1]) << text;
+    for (uint32_t t = 0; t < kThreads; ++t) {
+      if (!store) {
+        EXPECT_EQ(images[0][64 + t], t == kBad ? 1000u : 1001u + t)
+            << text << "thread " << t;
+      } else if (t != kBad) {
+        EXPECT_EQ(images[0][t + 1], t) << text << "thread " << t;
+      }
+    }
+    if (store) {
+      EXPECT_EQ(images[0][0], kBad) << text;
+    }
+  }
+}
+
 TEST(Interp, InstructionCountMatchesActiveLanes) {
   Rig rig(R"(
 .kernel cnt

@@ -18,8 +18,8 @@
 //   7. static memory-proof soundness (ISSUE 10) — per-block dynamic store
 //      sets (captured through the write log) always lie inside the static
 //      footprint hulls, the overlap prover never calls dynamically
-//      overlapping kernels stores-disjoint, and bounds-check elision on
-//      proven sites is bit-identical (no elided check could have fired).
+//      overlapping kernels stores-disjoint, and proven sites replay under
+//      the checked interpreter (SoA and scalar) without a fault.
 
 #include <gtest/gtest.h>
 
@@ -238,7 +238,7 @@ struct RunOutput {
 RunOutput run_kernel_cfg(const ir::Kernel& k,
                          const analysis::RangeAnalysisResult* rc,
                          const ir::LaunchConfig& launch, bool use_soa,
-                         bool block_parallel, bool elide_dead_writes = false) {
+                         bool block_parallel) {
   exec::GlobalMemory gmem;
   const uint32_t out = gmem.alloc(64 * 32 + 1024);
   exec::ExecContext ctx;
@@ -249,7 +249,6 @@ RunOutput run_kernel_cfg(const ir::Kernel& k,
   ctx.range_check = rc;
   ctx.use_soa = use_soa;
   ctx.block_parallel = block_parallel;
-  ctx.elide_dead_writes = elide_dead_writes;
   RunOutput r;
   r.thread_insts = exec::run_functional(ctx);
   // Compare raw words (outputs are integers; float reinterpretation would
@@ -347,21 +346,6 @@ TEST_P(FuzzSoundness, BlockParallelMatchesSerial) {
   EXPECT_EQ(serial.thread_insts, parallel.thread_insts);
 }
 
-TEST_P(FuzzSoundness, DeadWriteElisionBitIdentical) {
-  // Elision consumes the static dead-dst flags (PR 9): replay with
-  // elide_dead_writes on must reproduce the off image bit-for-bit and
-  // execute the same thread-instruction count, in both dispatch modes.
-  ir::Kernel k = ir::parse_kernel(generate_kernel(GetParam()));
-  const ir::LaunchConfig lc{2, 1, 32, 1};
-  const auto off = run_kernel_cfg(k, nullptr, lc, true, false, false);
-  const auto on = run_kernel_cfg(k, nullptr, lc, true, false, true);
-  EXPECT_TRUE(off == on);
-  const auto scalar_off = run_kernel_cfg(k, nullptr, lc, false, false, false);
-  const auto scalar_on = run_kernel_cfg(k, nullptr, lc, false, false, true);
-  EXPECT_TRUE(scalar_off == scalar_on);
-  EXPECT_TRUE(off == scalar_on);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSoundness,
                          ::testing::Range(1u, 26u));  // 25 random programs
 
@@ -399,27 +383,13 @@ TEST_P(FuzzDivergent, DeterministicExecution) {
               run_kernel_cfg(k, nullptr, lc, true, false));
 }
 
-TEST_P(FuzzDivergent, DeadWriteElisionBitIdentical) {
-  // Divergent diamonds + partially valid warps: the dead-dst flags are
-  // per instruction, not per lane, so elision must stay sound when the
-  // SIMT stack splits.  Serial and block-parallel schedules both pin it.
-  ir::Kernel k = ir::parse_kernel(generate_divergent_kernel(GetParam()));
-  const ir::LaunchConfig lc{3, 1, 48, 1};
-  const auto off = run_kernel_cfg(k, nullptr, lc, true, false, false);
-  const auto on = run_kernel_cfg(k, nullptr, lc, true, false, true);
-  EXPECT_TRUE(off == on);
-  PoolWidth width(4);
-  const auto par_on = run_kernel_cfg(k, nullptr, lc, true, true, true);
-  EXPECT_TRUE(off == par_on);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDivergent,
                          ::testing::Range(100u, 125u));  // 25 programs
 
 /// Like generate_kernel, but the loop body also writes a rotating set of
 /// scratch registers that are never read anywhere — every such write is
 /// statically dead (some guarded, exercising partial-def dead writes), so
-/// the dataflow pass must flag them and elision must skip real work.
+/// the dataflow pass must flag them.
 std::string generate_dead_write_kernel(uint32_t seed) {
   Pcg32 rng(seed, 0xDEAD);
   const int nregs = 3 + int(rng.next_below(4));
@@ -477,7 +447,7 @@ std::string generate_dead_write_kernel(uint32_t seed) {
 
 class FuzzDeadWrites : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(FuzzDeadWrites, StaticallyDeadWritesAreUnobservable) {
+TEST_P(FuzzDeadWrites, PlantedDeadWritesAreFlagged) {
   const std::string text = generate_dead_write_kernel(GetParam());
   ir::Kernel k = ir::parse_kernel(text);
   ASSERT_NO_THROW(ir::verify(k)) << text;
@@ -489,14 +459,12 @@ TEST_P(FuzzDeadWrites, StaticallyDeadWritesAreUnobservable) {
   EXPECT_FALSE(rep.dead_writes.empty()) << text;
   EXPECT_TRUE(rep.clean());
 
-  // Skipping them is unobservable: the scalar reference replay with
-  // elision matches both non-elided replays bit-for-bit.
+  // The dead writes execute like any other: SoA matches the scalar
+  // reference bit-for-bit on these kernels too.
   const ir::LaunchConfig lc{2, 1, 32, 1};
-  const auto scalar_off = run_kernel_cfg(k, nullptr, lc, false, false, false);
-  const auto scalar_on = run_kernel_cfg(k, nullptr, lc, false, false, true);
-  const auto soa_on = run_kernel_cfg(k, nullptr, lc, true, false, true);
-  EXPECT_TRUE(scalar_off == scalar_on) << text;
-  EXPECT_TRUE(scalar_off == soa_on) << text;
+  EXPECT_TRUE(run_kernel_cfg(k, nullptr, lc, false, false) ==
+              run_kernel_cfg(k, nullptr, lc, true, false))
+      << text;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDeadWrites,
@@ -632,11 +600,12 @@ TEST_P(FuzzMemProofs, OverlapProverSoundVsWriteLog) {
   }
 }
 
-TEST_P(FuzzMemProofs, ElidedBoundsChecksNeverObservable) {
-  // Proven sites skip GPURF_CHECK entirely; if a proof were wrong the
-  // elided replay would touch memory the checked replay faulted on.  Both
-  // replays completing bit-identically (words and instruction count, SoA
-  // and scalar) pins that no elided check would ever have fired.
+TEST_P(FuzzMemProofs, ProvenSitesReplayCheckedIdentically) {
+  // Proofs-only oracle: the interpreter checks every access (once per warp
+  // under SoA, per lane under scalar), so a proven site whose check fired
+  // would throw here.  Both checked replays completing bit-identically
+  // (words and instruction count) pins that the proofs describe real
+  // executions.
   const std::string text = generate_mem_kernel(GetParam());
   ir::Kernel k = ir::parse_kernel(text);
   const ir::LaunchConfig lc{kMemGrid, 1, 32, 1};
@@ -654,7 +623,7 @@ TEST_P(FuzzMemProofs, ElidedBoundsChecksNeverObservable) {
   for (const auto& a : ma.accesses) nproven += proven[a.flat] ? 1 : 0;
   EXPECT_GT(nproven, 0u) << text;
 
-  auto run = [&](bool elide, bool soa) {
+  auto run = [&](bool soa) {
     exec::GlobalMemory gmem;
     const uint32_t o = gmem.alloc(kMemWords);
     exec::ExecContext ctx;
@@ -664,19 +633,13 @@ TEST_P(FuzzMemProofs, ElidedBoundsChecksNeverObservable) {
     ctx.params = {o};
     ctx.use_soa = soa;
     ctx.block_parallel = false;
-    ctx.elide_bounds_checks = elide;
-    ctx.mem_proven = elide ? proven.data() : nullptr;
     RunOutput r;
     r.thread_insts = exec::run_functional(ctx);
     const auto view = gmem.view(o, kMemWords);
     r.words = {view.begin(), view.end()};
     return r;
   };
-  const auto off = run(false, true);
-  const auto on = run(true, true);
-  EXPECT_TRUE(off == on) << text;
-  const auto scalar_on = run(true, false);
-  EXPECT_TRUE(off == scalar_on) << text;
+  EXPECT_TRUE(run(true) == run(false)) << text;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzMemProofs,

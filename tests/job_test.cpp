@@ -360,32 +360,5 @@ TEST(Engine, MetricsJsonCountsCacheTrafficAndJobs) {
   EXPECT_EQ(failed->as_int(), 1);
 }
 
-// --------------------------------------------- futures shims unchanged
-
-TEST(Engine, FuturesShimsRideOnJobs) {
-  TempDir dir("gpurf_job_cache_shim");
-  Engine engine(EngineOptions()
-                    .with_threads(2)
-                    .with_cache_dir(dir.path)
-                    .with_async_workers(2)
-                    .with_max_inflight(4));
-  auto fut = engine.submit_pipeline("DWT2D");
-  SimRequest req;
-  req.mode = wl::SimMode::kCompressedHigh;
-  req.scale = wl::Scale::kSample;
-  auto fsim = engine.submit_simulate("DWT2D", req);
-
-  auto pr = fut.get();
-  ASSERT_TRUE(pr.ok()) << pr.status().to_string();
-  auto sync = engine.pipeline("DWT2D");
-  ASSERT_TRUE(sync.ok());
-  expect_same_pipeline(**sync, *pr);
-
-  auto sim = fsim.get();
-  ASSERT_TRUE(sim.ok()) << sim.status().to_string();
-  EXPECT_GT(sim->stats.ipc(), 0.0);
-  EXPECT_EQ(engine.inflight(), 0u);
-}
-
 }  // namespace
 }  // namespace gpurf

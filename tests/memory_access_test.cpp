@@ -1,15 +1,12 @@
 // Static memory-access analysis (ISSUE 10): address-bound proofs,
-// footprint disjointness verdicts, bounds-check elision, OOB lint
-// findings, and the Engine surfaces that consume them.
+// footprint disjointness verdicts, OOB lint findings, and the Engine
+// surfaces that consume them.
 
 #include <gtest/gtest.h>
-
-#include <cstring>
 
 #include "analysis/dataflow.hpp"
 #include "analysis/memory_access.hpp"
 #include "api/engine.hpp"
-#include "exec/interp.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 #include "workloads/workload.hpp"
@@ -209,7 +206,7 @@ TEST(MemoryAccess, WorkloadProofsGateParallelReplay) {
   // losing eligibility silently serialises replay.
   for (const auto& w : wl::make_all_workloads()) {
     auto inst = w->make_instance(wl::Scale::kSample, 0);
-    const auto proofs = w->mem_proofs(inst, /*footprints=*/true);
+    const auto proofs = w->mem_proofs(inst);
     EXPECT_TRUE(proofs->parallel_ok) << w->spec().name;
     EXPECT_TRUE(proofs->shard_ok) << w->spec().name;
     if (w->spec().name == "DWT2D") {
@@ -217,26 +214,6 @@ TEST(MemoryAccess, WorkloadProofsGateParallelReplay) {
       EXPECT_TRUE(proofs->mem.stores_disjoint);
       EXPECT_TRUE(proofs->mem.loads_local);
     }
-  }
-}
-
-TEST(MemoryAccess, BoundsElisionBitIdenticalOnWorkloads) {
-  // The elision consumer's end-to-end identity on a proven workload.
-  const auto all = wl::make_all_workloads();
-  for (const auto& w : all) {
-    if (w->spec().name != "DWT2D" && w->spec().name != "GICOV") continue;
-    wl::RunOptions off;
-    off.block_parallel = false;
-    off.elide_bounds_checks = false;
-    wl::RunOptions on = off;
-    on.elide_bounds_checks = true;
-    auto i1 = w->make_instance(wl::Scale::kSample, 0);
-    auto i2 = w->make_instance(wl::Scale::kSample, 0);
-    const auto a = w->run(i1, nullptr, nullptr, off);
-    const auto b = w->run(i2, nullptr, nullptr, on);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
-        << w->spec().name;
   }
 }
 

@@ -3,9 +3,9 @@
 // every registered workload (or an assembly file passed on the command
 // line) it reports what the analyses prove about the kernel *before* any
 // simulation: undefined register reads, statically dead writes, registers
-// that are written but never read, the three register-pressure figures
-// (static liveness bound, baseline slice-allocator pressure, live-interval
-// allocator pressure), in-bounds proof coverage, definite / possible
+// that are written but never read, the two register-pressure figures
+// (static liveness bound, baseline slice-allocator pressure), in-bounds
+// proof coverage, definite / possible
 // out-of-bounds accesses and the parallel-execution disjointness verdicts.
 //
 // Usage:
@@ -94,10 +94,10 @@ bool overlap_unresolved(const analysis::KernelReport& r) {
 }
 
 void print_report(const analysis::KernelReport& r) {
-  std::printf("%-12s %4u insts  %2u regs  pressure %2u static / %2u alloc / "
-              "%2u interval  %zu dead write%s  %zu never-read  %zu undefined\n",
+  std::printf("%-12s %4u insts  %2u regs  pressure %2u static / %2u alloc  "
+              "%zu dead write%s  %zu never-read  %zu undefined\n",
               r.kernel.c_str(), r.num_insts, r.num_regs, r.static_pressure,
-              r.alloc_pressure, r.live_interval_pressure, r.dead_writes.size(),
+              r.alloc_pressure, r.dead_writes.size(),
               r.dead_writes.size() == 1 ? "" : "s", r.never_read.size(),
               r.undefined_reads.size());
   auto name = [&](uint32_t reg) {
