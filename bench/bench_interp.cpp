@@ -53,7 +53,8 @@ double now_secs() {
 /// single replay plus the outputs of the last one.
 ModeResult run_mode(const wl::Workload& w, const wl::RunOptions& opt,
                     int threads, int reps) {
-  gpurf::common::ThreadPool::instance().resize(threads);
+  gpurf::common::ThreadPool pool(threads);
+  gpurf::common::ScopedPool bind(&pool);
   ModeResult r;
   r.secs = 1e30;
   for (int i = 0; i < reps; ++i) {

@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
   }
   int max_shards = 1;
   for (int s : shard_counts) max_shards = std::max(max_shards, s);
-  gpurf::common::ThreadPool::instance().resize(max_shards);
+  gpurf::common::ThreadPool pool(max_shards);
+  gpurf::common::ScopedPool bind(&pool);
 
   const wl::Scale scale = smoke ? wl::Scale::kSample : wl::Scale::kFull;
   const struct {

@@ -54,10 +54,12 @@ entry:
 namespace {
 
 /// Quality probe: run the kernel with the candidate precision map and
-/// score the polynomial outputs against the exact run (% deviation).
+/// score the polynomial outputs against the exact run (% deviation).  The
+/// probe holds the kernel's execution analysis, shared by every replay.
 class HornerProbe final : public gpurf::tuning::QualityProbe {
  public:
-  explicit HornerProbe(const ir::Kernel& k) : k_(k) {
+  explicit HornerProbe(const ir::Kernel& k)
+      : k_(k), analysis_(exec::make_kernel_analysis(k)) {
     metric_ = gpurf::quality::make_deviation_metric();
     ref_ = run(nullptr);
   }
@@ -75,6 +77,7 @@ class HornerProbe final : public gpurf::tuning::QualityProbe {
     ctx.gmem = &gmem;
     ctx.params = {xb, ob};
     ctx.precision = pmap;
+    ctx.analysis = analysis_;
     exec::run_functional(ctx);
     return gmem.read_f32(ob, xs.size());
   }
@@ -88,6 +91,7 @@ class HornerProbe final : public gpurf::tuning::QualityProbe {
 
  private:
   const ir::Kernel& k_;
+  std::shared_ptr<const exec::KernelAnalysis> analysis_;
   std::unique_ptr<gpurf::quality::QualityMetric> metric_;
   std::vector<float> ref_;
 };

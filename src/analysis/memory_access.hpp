@@ -32,8 +32,8 @@
 //   * TEX2D is clamp-addressed and read-only — excluded by construction.
 //
 // Per-block footprints re-run the solver once per block with %ctaid pinned
-// to that block's coordinates; grids larger than `max_blocks` leave the
-// disjointness verdicts unproven (the caller falls back to the serial
+// to that block's coordinates; grids larger than kMaxFootprintBlocks leave
+// the disjointness verdicts unproven (the caller falls back to the serial
 // path).  Footprints that form an affine progression in the linear block
 // id are summarised in stride/offset form.
 
@@ -82,14 +82,15 @@ struct AffineFootprint {
   std::string to_string() const;
 };
 
+/// Cap on per-block footprint solves; grids beyond it leave the
+/// disjointness verdicts unproven.
+inline constexpr uint64_t kMaxFootprintBlocks = 4096;
+
 struct MemoryAccessOptions {
   /// Exact runtime parameter words of the launch (base addresses).  Null
   /// leaves params at their declared contracts — shared-memory proofs
   /// still work, global ones almost never do.
   const std::vector<uint32_t>* param_values = nullptr;
-  /// Cap on per-block footprint solves; grids beyond it leave the
-  /// disjointness verdicts unproven.
-  uint32_t max_blocks = 4096;
   /// Skip the per-block footprint solves entirely (bare-kernel lint,
   /// which has no meaningful grid to prove disjointness over).
   bool footprints = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "alloc/slice_alloc.hpp"
@@ -24,27 +25,40 @@ EngineOptions resolve(EngineOptions o) {
   // here; after construction the Engine never touches the environment.
   if (o.threads <= 0) o.threads = common::default_thread_count();
   if (o.cache_dir.empty()) o.cache_dir = workloads::default_cache_dir();
-  if (o.tuner.speculate_batch <= 0) o.tuner.speculate_batch = o.threads;
   if (o.sim_shards <= 0) o.sim_shards = o.threads;
   if (o.async_workers <= 0) o.async_workers = o.threads;
   if (o.max_inflight == 0)
     o.max_inflight = 2 * static_cast<size_t>(o.async_workers);
-  o.run.thread_insts = nullptr;
-  // Cancellation tokens are per-job, never session-wide configuration.
-  o.run.cancel = nullptr;
-  o.tuner.cancel = nullptr;
   return o;
 }
 
-workloads::PipelineOptions pipeline_options(const EngineOptions& o,
-                                            workloads::PipelineStats* stats) {
-  workloads::PipelineOptions p;
-  p.use_disk_cache = o.use_disk_cache;
-  p.cache_dir = o.cache_dir;
-  p.tuner = o.tuner;
-  p.run = o.run;
-  p.stats = stats;
-  return p;
+/// Cap on a requested writeback delay: 8x the paper's largest §6.3 point,
+/// so a wrapped wire value cannot pin a worker for the max_cycles guard.
+constexpr uint32_t kMaxWritebackDelay = 64;
+
+Status check_sim_request(const SimRequest& req) {
+  const uint32_t wb = req.compression ? req.compression->writeback_delay : 0;
+  if (wb <= kMaxWritebackDelay) return Status::Ok();
+  return Status::InvalidArgument("writeback_delay " + std::to_string(wb) +
+                                 " exceeds " +
+                                 std::to_string(kMaxWritebackDelay) +
+                                 " cycles");
+}
+
+/// The request checks that need no workload; a campaign's point count
+/// must also fit the int progress counters.
+Status check_job_request(const JobRequest& req) {
+  if (!job_kind_campaign(req.kind)) return check_sim_request(req.sim);
+  const bool fault = req.kind == JobKind::kFaultCampaign;
+  const uint64_t axis = fault ? req.campaign.densities.size()
+                              : req.transient.flip_rates.size();
+  const uint64_t points =
+      axis * uint64_t(std::max(1, fault ? req.campaign.maps_per_density
+                                        : req.transient.seeds_per_rate));
+  if (points > uint64_t(std::numeric_limits<int>::max()))
+    return Status::InvalidArgument("campaign of " + std::to_string(points) +
+                                   " points overflows int");
+  return check_sim_request(fault ? req.campaign.sim : req.transient.sim);
 }
 
 /// Map a cooperative stop to the Status the serving layer reports.
@@ -151,7 +165,10 @@ Status run_sweep(Engine& engine, detail::JobImpl& job,
 Engine::Engine(EngineOptions opts)
     : opts_(resolve(std::move(opts))),
       pool_(opts_.threads),
-      pipelines_(pipeline_options(opts_, &pipeline_stats_)),
+      pipelines_({.use_disk_cache = opts_.use_disk_cache,
+                  .cache_dir = opts_.cache_dir,
+                  .tuner = {},
+                  .stats = &pipeline_stats_}),
       registry_(workloads::make_all_workloads()) {}
 
 Engine::~Engine() {
@@ -192,7 +209,7 @@ StatusOr<const workloads::Workload*> Engine::workload(
 
 StatusOr<const workloads::PipelineResult*> Engine::pipeline_impl(
     const workloads::Workload& w, common::CancelToken* cancel) {
-  Scope scope(*this);
+  common::ScopedPool scope(&pool_);
   // gpurf::Error is the core's recoverable, input-dependent tier
   // (GPURF_CHECK) — e.g. a workload whose metric fails at full precision —
   // so it maps to FailedPrecondition; a cooperative stop maps to
@@ -231,7 +248,7 @@ StatusOr<const workloads::PipelineResult*> Engine::pipeline(
 
 StatusOr<workloads::PipelineResult> Engine::compute_pipeline(
     const workloads::Workload& w) {
-  Scope scope(*this);
+  common::ScopedPool scope(&pool_);
   workloads::PipelineOptions opt = pipelines_.options();
   opt.use_disk_cache = false;
   try {
@@ -259,6 +276,7 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     return Status::InvalidArgument(
         "variant " + std::to_string(req.variant) + " out of range for '" +
         w.spec().name + "'");
+  if (Status st = check_sim_request(req); !st.ok()) return st;
   const bool inject = req.fault.density > 0.0;
   if (inject && req.mode == workloads::SimMode::kOriginal)
     return Status::InvalidArgument(
@@ -268,7 +286,9 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
   auto pr = pipeline_impl(w, cancel);
   if (!pr.ok()) return pr.status();
 
-  Scope scope(*this);
+  common::ScopedPool scope(&pool_);
+  workloads::RunOptions ro;  // every functional replay below
+  ro.cancel = cancel;
   try {
     if (cancel) {
       cancel->set_stage(common::JobStage::kSimulating);
@@ -305,8 +325,6 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
       // and flip-free tuned run (the flipped output itself comes from the
       // simulated memory image).
       const auto metric = w.make_metric(inst);
-      workloads::RunOptions ro = opts_.run;
-      ro.cancel = cancel;
       auto ref_inst = *pristine;
       const auto ref = w.run(ref_inst, nullptr, nullptr, ro);
       auto ff_inst = *pristine;
@@ -368,15 +386,12 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     if (req.retune_on_faults && fm.num_faults() > 0 &&
         (fa.registers_spilled > 0 || !cur_fits)) {
       if (cancel) cancel->set_stage(common::JobStage::kTuning);
-      workloads::RunOptions ro = opts_.run;
-      ro.cancel = cancel;
       auto probe = workloads::make_workload_probe(w, ro);
-      tuning::TunerOptions topt = opts_.tuner;
+      tuning::TunerOptions topt;
       topt.level = req.mode == workloads::SimMode::kCompressedPerfect
                        ? quality::QualityLevel::kPerfect
                        : quality::QualityLevel::kHigh;
       topt.cancel = cancel;
-      topt.defer_validation = false;
       for (int hint : {4, 2, 1}) {
         topt.max_slices_hint = hint;
         tuning::TuneResult tr =
@@ -438,8 +453,6 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
       // measured rather than asserted, which is the point of the report.
       auto qinst = w.make_instance(workloads::Scale::kSample, 0);
       const auto metric = w.make_metric(qinst);
-      workloads::RunOptions ro = opts_.run;
-      ro.cancel = cancel;
       auto ref_inst = qinst;
       const auto ref = w.run(ref_inst, nullptr, nullptr, ro);
       auto ff_inst = qinst;
@@ -491,9 +504,7 @@ Status Engine::verify_kernel(const ir::Kernel& k,
     ir::verify(k);
     if (!allow_undefined_reads) {
       // Dataflow enforcement (PR 9): surface entry-live-in registers as
-      // verification failures instead of silently reading zeros.  Computed
-      // directly (not via the analysis cache) — verification is one-shot
-      // and must not pin transient kernels in the memo.
+      // verification failures instead of silently reading zeros.
       const auto cfg = analysis::build_cfg(k);
       const auto live = analysis::compute_liveness(k, cfg);
       if (!live.undefined_uses.empty()) {
@@ -514,11 +525,10 @@ Status Engine::verify_kernel(const ir::Kernel& k,
 }
 
 StatusOr<analysis::KernelReport> Engine::analyze(const ir::Kernel& k) {
-  Scope scope(*this);
   try {
-    const auto ka = exec::analyze_kernel(k);
-    analysis::KernelReport rep =
-        analysis::build_kernel_report(k, ka->cfg(), ka->dataflow());
+    const auto cfg = analysis::build_cfg(k);
+    analysis::KernelReport rep = analysis::build_kernel_report(
+        k, cfg, analysis::compute_dataflow(k, cfg));
     rep.alloc_pressure = alloc::baseline_pressure(k);
     // Static memory section without instance context: shared-memory OOB
     // classification only (gmem_words = 0), no footprint solves — a bare
@@ -570,10 +580,9 @@ StatusOr<analysis::KernelReport> Engine::analyze(std::string_view name) {
 StatusOr<tuning::TuneResult> Engine::tune(const ir::Kernel& k,
                                           tuning::QualityProbe& probe,
                                           quality::QualityLevel level) {
-  Scope scope(*this);
-  tuning::TunerOptions topt = opts_.tuner;
+  common::ScopedPool scope(&pool_);
+  tuning::TunerOptions topt;
   topt.level = level;
-  topt.defer_validation = false;
   try {
     return tuning::tune_precision(k, probe, topt);
   } catch (const Error& e) {
@@ -659,6 +668,11 @@ Job Engine::submit(JobRequest req) {
                        "no in-flight slot before the deadline (queue full)"));
   }
   return Job(impl);
+}
+
+Status Engine::check_request(const JobRequest& req) const {
+  if (auto w = workload(req.workload); !w.ok()) return w.status();
+  return check_job_request(req);
 }
 
 StatusOr<Job> Engine::find_job(uint64_t id) const {
@@ -814,6 +828,10 @@ void Engine::run_campaign(std::shared_ptr<detail::JobImpl> job) {
     return;
   }
   metrics_.queue_wait_hist.record_us(wall_us_since(job->submitted_at));
+  if (Status st = check_job_request(job->req); !st.ok()) {
+    finish(std::move(st));
+    return;
+  }
 
   const std::string& wl = job->req.workload;
   Status st;
@@ -974,8 +992,6 @@ MetricsSnapshot Engine::metrics_snapshot() const {
   m.disk_cache_disabled =
       pipeline_stats_.disk_cache_disabled.load(std::memory_order_relaxed) ? 1
                                                                           : 0;
-  m.analysis_cache_hits = analysis_cache_.hits();
-  m.analysis_cache_misses = analysis_cache_.misses();
   {
     common::MutexLock lock(qmu_);
     m.queue_depth = queue_.size();

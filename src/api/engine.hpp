@@ -8,13 +8,13 @@
 // to share process-wide:
 //
 //   * a ThreadPool sized by EngineOptions::threads,
-//   * a KernelAnalysis cache (CFG / ipdom / decoded streams),
 //   * a pipeline memo + the on-disk precision-map cache directory,
-//   * its own instances of the eleven Table-4 workloads,
-//   * a GpuConfig and interpreter RunOptions for every simulation it runs.
+//   * its own instances of the eleven Table-4 workloads, each holding its
+//     kernel's execution analysis (CFG / ipdom / decoded stream),
+//   * a GpuConfig for every simulation it runs.
 //
 // Two Engines in one process are fully isolated: different thread counts,
-// cache directories, GPU models and tuner settings never interact, which
+// cache directories and GPU models never interact, which
 // is what multi-tenant serving and A/B experiments over simulator
 // configurations need (see ROADMAP north star).
 //
@@ -60,7 +60,6 @@
 #include "api/status.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
-#include "exec/kernel_analysis.hpp"
 #include "sim/gpu.hpp"
 #include "tuning/tuner.hpp"
 #include "workloads/pipeline.hpp"
@@ -82,13 +81,6 @@ struct EngineOptions {
   /// Persist tuned precision maps across processes (versioned entries;
   /// stale/corrupt ones are rejected and re-tuned).
   bool use_disk_cache = true;
-  /// Tuner search knobs.  `level` is ignored (the pipeline always tunes
-  /// both paper thresholds); speculate_batch <= 0 resolves to `threads`;
-  /// `cancel` is ignored (tokens are per-job).
-  tuning::TunerOptions tuner;
-  /// Interpreter strategy for every functional replay (SoA warp execution,
-  /// block-parallel grids).  `thread_insts` and `cancel` are ignored.
-  workloads::RunOptions run;
   /// GPU model for occupancy and timing simulation.
   sim::GpuConfig gpu = sim::GpuConfig::fermi_gtx480();
   /// Multi-SM shard count for every timing simulation this Engine runs
@@ -115,14 +107,6 @@ struct EngineOptions {
     return *this;
   }
   EngineOptions& with_disk_cache(bool on) { use_disk_cache = on; return *this; }
-  EngineOptions& with_tuner(const tuning::TunerOptions& t) {
-    tuner = t;
-    return *this;
-  }
-  EngineOptions& with_run_options(const workloads::RunOptions& r) {
-    run = r;
-    return *this;
-  }
   EngineOptions& with_gpu(const sim::GpuConfig& g) { gpu = g; return *this; }
   EngineOptions& with_sim_shards(int n) { sim_shards = n; return *this; }
   EngineOptions& with_async_workers(int n) { async_workers = n; return *this; }
@@ -216,8 +200,8 @@ class Engine {
   StatusOr<analysis::KernelReport> analyze(const workloads::Workload& w);
   StatusOr<analysis::KernelReport> analyze(std::string_view workload_name);
 
-  /// Precision-tune a custom kernel against a caller-supplied probe, using
-  /// this Engine's tuner options and thread pool.
+  /// Precision-tune a custom kernel against a caller-supplied probe on this
+  /// Engine's thread pool (speculative batches as wide as the pool).
   StatusOr<tuning::TuneResult> tune(const ir::Kernel& k,
                                     tuning::QualityProbe& probe,
                                     quality::QualityLevel level);
@@ -233,6 +217,14 @@ class Engine {
   /// Execution errors (unknown workload, failed verification, ...) land in
   /// Job::status(), not here.
   Job submit(JobRequest req);
+
+  /// Reject a request before it takes a queue slot when the Engine would
+  /// fail it anyway: an unknown workload (NotFound), a writeback delay
+  /// above 64 cycles, or a campaign whose point count overflows int
+  /// (InvalidArgument).  The Server checks every wire submit here; the
+  /// Engine repeats the request checks when the job runs, so an in-process
+  /// submit reports them in Job::status().
+  Status check_request(const JobRequest& req) const;
 
   /// Look up a previously submitted job by id (NotFound once it has been
   /// evicted — the registry retains all live jobs and the most recent
@@ -252,7 +244,7 @@ class Engine {
   Status drain(int64_t budget_ms);
 
   /// Point-in-time metrics snapshot as a JSON object: cache counters
-  /// (pipeline memo, kernel-analysis cache, disk cache), queue depth,
+  /// (pipeline memo, disk cache), queue depth,
   /// jobs by terminal state, cumulative job wall time, and per-stage
   /// latency summaries.  Embedded in every gpurfd response envelope.
   std::string metrics_json() const;
@@ -262,18 +254,6 @@ class Engine {
   MetricsSnapshot metrics_snapshot() const;
 
  private:
-  /// Bind this Engine's pool + analysis cache to the calling thread for
-  /// the duration of one public call (or one async job).
-  class Scope {
-   public:
-    explicit Scope(Engine& e)
-        : pool_(&e.pool_), cache_(&e.analysis_cache_) {}
-
-   private:
-    common::ScopedPool pool_;
-    exec::ScopedAnalysisCache cache_;
-  };
-
   /// Jobs to retain in the id registry; terminal jobs are evicted oldest-
   /// first beyond this (live jobs are never evicted).
   static constexpr size_t kMaxRetainedJobs = 1024;
@@ -295,7 +275,6 @@ class Engine {
 
   EngineOptions opts_;
   common::ThreadPool pool_;
-  exec::AnalysisCache analysis_cache_;
   workloads::PipelineStats pipeline_stats_;
   workloads::PipelineCache pipelines_;
   std::vector<std::unique_ptr<workloads::Workload>> registry_;

@@ -6,6 +6,8 @@
 // and intentionally flat: every field mirrors the corresponding struct so
 // snapshots stay diffable against header definitions.
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -137,8 +139,12 @@ class JsonValue {
   double as_double(double dflt = 0.0) const {
     return kind == Kind::kNumber ? num_v : dflt;
   }
+  /// Saturates at the int64 range; a non-finite number returns `dflt`.
   int64_t as_int(int64_t dflt = 0) const {
-    return kind == Kind::kNumber ? static_cast<int64_t>(num_v) : dflt;
+    if (kind != Kind::kNumber || !std::isfinite(num_v)) return dflt;
+    if (num_v >= 0x1p63) return std::numeric_limits<int64_t>::max();
+    if (num_v < -0x1p63) return std::numeric_limits<int64_t>::min();
+    return static_cast<int64_t>(num_v);
   }
   bool as_bool(bool dflt = false) const {
     return kind == Kind::kBool ? bool_v : dflt;

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -60,6 +61,30 @@ std::string envelope_finish(const std::string& metrics, JsonWriter& w) {
   return w.str();
 }
 
+/// Read the optional integer wire field `key` into `out`.  An absent field
+/// leaves `out` as it is; a value that is not a number, is fractional or
+/// lies outside [lo, hi] is INVALID_ARGUMENT naming the field.  Each cast
+/// happens on a value already known to fit.
+template <class T>
+Status read_int(const JsonValue& req, const char* key, T& out, T lo = 0,
+                T hi = std::numeric_limits<T>::max()) {
+  const JsonValue* v = req.get(key);
+  if (!v) return Status::Ok();
+  auto take = [&](auto x) {
+    if (std::cmp_less(x, lo) || std::cmp_greater(x, hi)) return false;
+    out = static_cast<T>(x);
+    return true;
+  };
+  const double d = v->as_double(0.5);  // a non-number fails as fractional
+  if (d == std::trunc(d) && d >= -0x1p63 && d < 0x1p64 &&
+      (d < 0 ? take(static_cast<int64_t>(d)) : take(static_cast<uint64_t>(d))))
+    return Status::Ok();
+  return Status::InvalidArgument(std::string("'") + key +
+                                 "' must be an integer in [" +
+                                 std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "]");
+}
+
 Status parse_sim_request(const JsonValue& req, SimRequest& out) {
   // A missing "mode" keeps the caller's pre-set default (original for
   // simulate, perfect for fault campaigns).
@@ -81,17 +106,20 @@ Status parse_sim_request(const JsonValue& req, SimRequest& out) {
     return Status::InvalidArgument("unknown scale '" + scale +
                                    "' (sample|full)");
 
-  if (const JsonValue* v = req.get("variant"))
-    out.variant = static_cast<uint32_t>(v->as_int(0));
-  if (const JsonValue* d = req.get("writeback_delay"))
-    out.compression = sim::CompressionConfig::with_writeback_delay(
-        static_cast<uint32_t>(d->as_int(0)));
-  if (const JsonValue* s = req.get("sim_shards"))
-    out.sim_shards = static_cast<int>(s->as_int(0));
+  // Integer fields: the types are checked here, the writeback cap by the
+  // Engine.
+  Status st = read_int(req, "variant", out.variant);
+  if (st.ok() && req.get("writeback_delay")) {
+    uint32_t wb = 0;
+    st = read_int(req, "writeback_delay", wb);
+    out.compression = sim::CompressionConfig::with_writeback_delay(wb);
+  }
+  if (st.ok()) st = read_int(req, "sim_shards", out.sim_shards);
+  if (st.ok()) st = read_int(req, "fault_seed", out.fault.seed);
+  if (st.ok()) st = read_int(req, "soft_seed", out.soft.seed);
+  if (!st.ok()) return st;
   // Permanent-fault injection (PR 6): density > 0 turns it on; the Engine
   // rejects it for mode=original (faults live in the compressed file).
-  if (const JsonValue* fs = req.get("fault_seed"))
-    out.fault.seed = static_cast<uint64_t>(fs->as_int(0));
   if (const JsonValue* fd = req.get("fault_density"))
     out.fault.density = fd->as_double(0.0);
   if (const JsonValue* fq = req.get("fault_quality"))
@@ -100,8 +128,6 @@ Status parse_sim_request(const JsonValue& req, SimRequest& out) {
   // process; exposure tracking works at any rate (including zero).
   if (const JsonValue* sr = req.get("soft_flips_per_mcycle"))
     out.soft.flips_per_mcycle = sr->as_double(0.0);
-  if (const JsonValue* ss = req.get("soft_seed"))
-    out.soft.seed = static_cast<uint64_t>(ss->as_int(1));
   if (const JsonValue* se = req.get("soft_track_exposure"))
     out.soft.track_exposure = se->as_bool(false);
   if (const JsonValue* sq = req.get("soft_quality"))
@@ -645,11 +671,9 @@ std::string Server::handle_submit(const JsonValue& req,
     if (!req.get("mode")) cr.sim.mode = wl::SimMode::kCompressedPerfect;
     Status st = parse_sim_request(req, cr.sim);
     if (st.ok()) st = parse_number_array(req, "densities", cr.densities);
+    if (st.ok()) st = read_int(req, "maps_per_density", cr.maps_per_density);
+    if (st.ok()) st = read_int(req, "base_seed", cr.base_seed);
     if (!st.ok()) return envelope_error(metrics_json_now(), st);
-    if (const JsonValue* m = req.get("maps_per_density"))
-      cr.maps_per_density = static_cast<int>(m->as_int(3));
-    if (const JsonValue* b = req.get("base_seed"))
-      cr.base_seed = static_cast<uint64_t>(b->as_int(1));
     if (const JsonValue* q = req.get("quality_floor"))
       cr.quality_floor = q->as_double(0.0);
     jr = JobRequest::fault_campaign(wlname->as_string(), std::move(cr));
@@ -657,11 +681,9 @@ std::string Server::handle_submit(const JsonValue& req,
     TransientCampaignRequest tr;
     Status st = parse_sim_request(req, tr.sim);
     if (st.ok()) st = parse_number_array(req, "flip_rates", tr.flip_rates);
+    if (st.ok()) st = read_int(req, "seeds_per_rate", tr.seeds_per_rate);
+    if (st.ok()) st = read_int(req, "base_seed", tr.base_seed);
     if (!st.ok()) return envelope_error(metrics_json_now(), st);
-    if (const JsonValue* s = req.get("seeds_per_rate"))
-      tr.seeds_per_rate = static_cast<int>(s->as_int(3));
-    if (const JsonValue* b = req.get("base_seed"))
-      tr.base_seed = static_cast<uint64_t>(b->as_int(1));
     jr = JobRequest::transient_campaign(wlname->as_string(), std::move(tr));
   } else {
     return envelope_error(
@@ -670,15 +692,17 @@ std::string Server::handle_submit(const JsonValue& req,
             "unknown kind '" + kind +
             "' (pipeline|simulate|fault_campaign|transient_campaign)"));
   }
-  if (const JsonValue* p = req.get("priority"))
-    jr.priority = static_cast<int>(p->as_int(0));
-  if (const JsonValue* d = req.get("deadline_ms"))
-    jr.deadline_ms = d->as_int(0);
-
-  // Fail fast on unknown workloads: the submit itself reports NOT_FOUND
-  // instead of parking a doomed job in the queue.
-  auto wlp = engine_.workload(wlname->as_string());
-  if (!wlp.ok()) return envelope_error(metrics_json_now(), wlp.status());
+  Status st = read_int(req, "priority", jr.priority,
+                       std::numeric_limits<int>::min());
+  // Bounded so the deadline's time point cannot overflow.
+  if (st.ok())
+    st = read_int<int64_t>(req, "deadline_ms", jr.deadline_ms, 0,
+                           std::numeric_limits<int32_t>::max());
+  // Fail fast on requests the Engine would reject (unknown workload,
+  // writeback delay above its cap, a campaign too large to count): the
+  // submit itself reports the error instead of parking a doomed job.
+  if (st.ok()) st = engine_.check_request(jr);
+  if (!st.ok()) return envelope_error(metrics_json_now(), st);
 
   // Per-token quotas (ISSUE 8): a token-bucket on submit rate and a cap
   // on unfinished jobs, both rejecting with RESOURCE_EXHAUSTED and a
@@ -759,12 +783,12 @@ std::string Server::handle_submit(const JsonValue& req,
 
 std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
                                   SendLineFn* push) {
-  const JsonValue* idv = req.get("job");
-  if (!idv || !idv->is_number())
-    return envelope_error(
-        metrics_json_now(),
-        Status::InvalidArgument("'" + op + "' requires 'job'"));
-  auto job = engine_.find_job(static_cast<uint64_t>(idv->as_int()));
+  uint64_t id = 0;
+  const Status st =
+      req.get("job") ? read_int(req, "job", id)
+                     : Status::InvalidArgument("'" + op + "' requires 'job'");
+  if (!st.ok()) return envelope_error(metrics_json_now(), st);
+  auto job = engine_.find_job(id);
   if (!job.ok()) return envelope_error(metrics_json_now(), job.status());
 
   bool watched_event = false;  // watch op: emitted at least the terminal tag
@@ -937,7 +961,8 @@ int connect_with_retry(const sockaddr* addr, socklen_t addr_len, int family,
   uint64_t jitter_state =
       static_cast<uint64_t>(::getpid()) * 0x9e3779b97f4a7c15ULL ^
       reinterpret_cast<uintptr_t>(jitter_salt);
-  int backoff_ms = opts.backoff_initial_ms;
+  // Windows below 1 ms would divide by zero in the jitter draw.
+  int backoff_ms = std::max(1, opts.backoff_initial_ms);
   for (int attempt = 0; attempt <= opts.retries; ++attempt) {
     const int fd = connect_once(addr, addr_len, family, opts.connect_timeout_ms);
     if (fd >= 0) {
@@ -959,7 +984,8 @@ int connect_with_retry(const sockaddr* addr, socklen_t addr_len, int family,
         1 + static_cast<int>(gpurf::splitmix64(jitter_state) %
                              static_cast<uint64_t>(backoff_ms));
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    backoff_ms = std::min(backoff_ms * 2, opts.backoff_max_ms);
+    backoff_ms = static_cast<int>(std::clamp<int64_t>(
+        int64_t{backoff_ms} * 2, 1, std::max(1, opts.backoff_max_ms)));
   }
   out_status = Status::Internal(what + ": retry loop exhausted");
   return -1;

@@ -37,6 +37,24 @@
 //                     (static lint: undefined reads, dead writes, pressure)
 //   {"op":"shutdown"}
 //
+// Integer fields are checked before use; a value that is not a number,
+// is fractional or lies outside its range is rejected with
+// INVALID_ARGUMENT naming the field, and no job is queued:
+//
+//   variant, writeback_delay                 [0, 2^32-1]
+//   sim_shards, maps_per_density,
+//   seeds_per_rate                           [0, 2^31-1]
+//   priority                                 [-2^31, 2^31-1]
+//   deadline_ms                              [0, 2^31-1] (~24.8 days)
+//   fault_seed, soft_seed, base_seed, job    [0, 2^64)
+//
+// The Engine then rejects a writeback_delay above 64 cycles (8x the
+// paper's largest §6.3 point) and a campaign whose point count
+// (densities x maps_per_density, flip_rates x seeds_per_rate) exceeds
+// 2^31-1, also with INVALID_ARGUMENT.  A job id in range that names no
+// job is NOT_FOUND.  timeout_ms, progress_ms and chunk_bytes are clamped
+// rather than rejected (negative timeouts act as 0).
+//
 // Chunked result streaming: a wait/watch with "stream":true splits a
 // result JSON larger than "chunk_bytes" out of the envelope — the
 // envelope then carries "result_bytes" and "result_chunks":K instead of

@@ -13,10 +13,12 @@
 //    worker runs inline on that worker (no deadlock, no oversubscription).
 //
 // Thread count: GPURF_THREADS environment variable when set (>= 1),
-// otherwise std::thread::hardware_concurrency().  Tests and benches may
-// resize() the singleton at runtime to compare serial vs parallel runs in
-// one process.
+// otherwise std::thread::hardware_concurrency().  A pool's width is fixed
+// at construction; code that wants another width (an Engine, a test or
+// bench comparing serial and parallel runs) builds its own pool and binds
+// it to the calling thread with ScopedPool.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -58,8 +60,19 @@ inline int default_thread_count() {
 
 class ThreadPool {
  public:
-  explicit ThreadPool(int threads) { spawn(threads); }
-  ~ThreadPool() { shutdown(); }
+  explicit ThreadPool(int threads) : num_threads_(std::max(1, threads)) {
+    workers_.reserve(static_cast<size_t>(num_threads_ - 1));
+    for (int t = 1; t < num_threads_; ++t)
+      workers_.emplace_back([this, t] { worker_loop(t); });
+  }
+  ~ThreadPool() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+      cv_.notify_all();
+    }
+    for (auto& w : workers_) w.join();
+  }
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -80,15 +93,6 @@ class ThreadPool {
 
   /// Total execution width including the calling thread.
   int size() const { return num_threads_; }
-
-  /// Re-target the pool (joins workers; callers must not hold jobs).
-  void resize(int threads) {
-    if (threads < 1) threads = 1;
-    std::lock_guard<std::mutex> submit(submit_mu_);
-    if (threads == num_threads_) return;
-    shutdown();
-    spawn(threads);
-  }
 
   /// Run fn(i) for every i in [0, n).  Blocks until all iterations finish.
   /// The calling thread executes shard 0; workers execute shards 1..T-1.
@@ -151,31 +155,6 @@ class ThreadPool {
   }
 
  private:
-  void spawn(int threads) {
-    if (threads < 1) threads = 1;
-    num_threads_ = threads;
-    stop_ = false;
-    // No job can be in flight here (construction, or resize() after
-    // shutdown with submit_mu_ held); restart the job counter so fresh
-    // workers (seen_job = 0) don't mistake the previous pool's last job
-    // id for new work and dereference the cleared job pointer.
-    job_id_ = 0;
-    job_ = nullptr;
-    workers_.reserve(static_cast<size_t>(threads - 1));
-    for (int t = 1; t < threads; ++t)
-      workers_.emplace_back([this, t] { worker_loop(t); });
-  }
-
-  void shutdown() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-      cv_.notify_all();
-    }
-    for (auto& w : workers_) w.join();
-    workers_.clear();
-  }
-
   void worker_loop(int worker_index) {
     detail::tl_in_pool_worker = true;
     uint64_t seen_job = 0;
@@ -210,7 +189,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   int num_threads_ = 1;
 
-  std::mutex submit_mu_;  ///< serialises external parallel_for / resize
+  std::mutex submit_mu_;  ///< serialises external parallel_for calls
 
   std::mutex mu_;
   std::condition_variable cv_, done_cv_;

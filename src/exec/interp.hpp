@@ -164,7 +164,7 @@ class BlockExec {
   ExecContext& ctx_;
   const gpurf::ir::Kernel& k_;
   /// Shared immutable analysis (CFG, ipdoms, decoded instruction stream);
-  /// from ctx.analysis when provided, else the process-wide cache.
+  /// from ctx.analysis when provided, else built for this block.
   std::shared_ptr<const KernelAnalysis> ka_;
   uint32_t ctaid_x_, ctaid_y_;
   std::vector<WarpState> warps_;

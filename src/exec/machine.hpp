@@ -213,9 +213,9 @@ struct ExecContext {
   const PrecisionMap* precision = nullptr;
   const analysis::RangeAnalysisResult* range_check = nullptr;
 
-  /// Optional precomputed kernel analysis (CFG, ipdoms, decoded stream).
-  /// When unset, BlockExec fetches one from the process-wide cache; callers
-  /// that launch many blocks or probes should set it once up front.
+  /// Optional precomputed kernel analysis (CFG, ipdoms, decoded stream);
+  /// when unset, run_functional builds one per launch.  Callers that replay
+  /// a kernel many times should hold one and set it here.
   std::shared_ptr<const KernelAnalysis> analysis;
 
   /// Execution strategy.  use_soa selects the warp-vectorized SoA data path

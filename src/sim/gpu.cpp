@@ -780,7 +780,8 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
   ctx.textures = spec.textures;
   ctx.params = spec.params;
   ctx.precision = spec.precision;
-  ctx.analysis = exec::analyze_kernel(*spec.kernel);
+  ctx.analysis =
+      spec.analysis ? spec.analysis : exec::make_kernel_analysis(*spec.kernel);
 
   BlockDispatcher dispatcher(spec.launch);
   Cache l2(gpu.l2);

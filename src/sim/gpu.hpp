@@ -100,6 +100,8 @@ struct KernelLaunchSpec {
   gpurf::exec::GlobalMemory* gmem = nullptr;
   const std::vector<gpurf::exec::Texture>* textures = nullptr;
   std::vector<uint32_t> params;
+  /// The kernel's execution analysis; unset, simulate() builds one.
+  std::shared_ptr<const gpurf::exec::KernelAnalysis> analysis;
 
   /// Register pressure used for occupancy (baseline colouring or the
   /// compressed physical count from the slice allocator).

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "analysis/dataflow.hpp"
 #include "fp/format.hpp"
 #include "rf/value_converter.hpp"
 #include "rf/value_extractor.hpp"
@@ -50,7 +49,9 @@ bool SoftErrorProcess::next_flip(uint64_t cycle, FlipSite* out) {
 SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
                                const gpurf::exec::KernelAnalysis& ka,
                                const gpurf::alloc::AllocationResult* allocation)
-    : k_(&k), alloc_(allocation), df_(&ka.dataflow()) {
+    : k_(&k),
+      alloc_(allocation),
+      df_(gpurf::analysis::compute_dataflow(k, ka.cfg())) {
   const uint32_t nregs = k.num_regs();
 
   // Stored payload width per architectural register.  Predicates live in a
@@ -91,18 +92,16 @@ SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
     }
   }
 
-  // Per-point liveness comes precomputed from the KernelAnalysis (PR 9):
-  // the dataflow pass builds the exact same flattened block-major layout
-  // (point i = "about to execute instruction i", point block_size = the
-  // live-out) the model used to scan out itself.  Only the payload-bit
-  // sums are allocation-dependent, so they stay here.
-  bits_at_.assign(df_->num_points, 0);
-  for (uint32_t p = 0; p < df_->num_points; ++p) {
+  // Per-point payload-bit sums over the dataflow's flattened block-major
+  // layout (point i = "about to execute instruction i", point block_size =
+  // the live-out), which the model indexes by warp position.
+  bits_at_.assign(df_.num_points, 0);
+  for (uint32_t p = 0; p < df_.num_points; ++p) {
     uint32_t bits = 0;
-    df_->live_before[p].for_each_set([&](size_t r) { bits += reg_bits_[r]; });
+    df_.live_before[p].for_each_set([&](size_t r) { bits += reg_bits_[r]; });
     bits_at_[p] = bits;
   }
-  df_->ever_live.for_each_set([&](size_t r) { static_bits_ += reg_bits_[r]; });
+  df_.ever_live.for_each_set([&](size_t r) { static_bits_ += reg_bits_[r]; });
 }
 
 const std::vector<SoftErrorModel::Owner>& SoftErrorModel::owners(
@@ -113,17 +112,17 @@ const std::vector<SoftErrorModel::Owner>& SoftErrorModel::owners(
 
 bool SoftErrorModel::reg_live(uint32_t blk, uint32_t inst,
                               uint32_t reg) const {
-  return df_->live_at(blk, inst, reg);
+  return df_.live_at(blk, inst, reg);
 }
 
 uint32_t SoftErrorModel::payload_bits(uint32_t blk, uint32_t inst) const {
-  return bits_at_[df_->point_index(blk, inst)];
+  return bits_at_[df_.point_index(blk, inst)];
 }
 
 bool SoftErrorModel::site_static_dead(uint32_t phys_reg,
                                       uint32_t slice) const {
   const auto live_somewhere = [&](uint32_t r) {
-    return r < df_->ever_live.size() && df_->ever_live.test(r);
+    return r < df_.ever_live.size() && df_.ever_live.test(r);
   };
   if (alloc_) {
     for (const Owner& o : owners(phys_reg, slice))

@@ -17,9 +17,9 @@
 //    architectural register (if any) owns each (physical register, slice)
 //    site under the active allocation, how many payload bits each
 //    register occupies, and per-(block, instruction) live-register sets
-//    borrowed from the instruction-granular dataflow pass cached in the
-//    KernelAnalysis (src/analysis/dataflow.*, PR 9) — the same per-point
-//    facts the kernel lint reports.  It also implements the corruption
+//    from the instruction-granular dataflow pass (src/analysis/dataflow.*,
+//    PR 9) over the launch's CFG — the same per-point facts the kernel
+//    lint reports.  It also implements the corruption
 //    round-trip: reconstruct the stored (truncated / encoded) payload of
 //    the victim register, flip the struck bit, and decompress back
 //    through the Value Extractor / Value Converter into the architectural
@@ -38,6 +38,7 @@
 
 #include "alloc/slice_alloc.hpp"
 #include "common/bitset.hpp"
+#include "analysis/dataflow.hpp"
 #include "common/rng.hpp"
 #include "exec/kernel_analysis.hpp"
 #include "sim/gpu.hpp"
@@ -132,11 +133,9 @@ class SoftErrorModel {
  private:
   const gpurf::ir::Kernel* k_;
   const gpurf::alloc::AllocationResult* alloc_;  ///< nullptr = baseline
-  /// Instruction-granular liveness, borrowed from the KernelAnalysis the
-  /// launch already carries (PR 9) — the model no longer recomputes the
-  /// per-point scan itself.  The analysis outlives the model (simulate()
-  /// holds the shared_ptr for the whole run).
-  const gpurf::analysis::Dataflow* df_;
+  /// Instruction-granular liveness (PR 9), computed over the CFG of the
+  /// KernelAnalysis the launch carries.
+  gpurf::analysis::Dataflow df_;
   /// (phys_reg * 8 + slice) -> owning registers; baseline mode leaves this
   /// empty and resolves ownership by identity.
   std::vector<std::vector<Owner>> owners_;

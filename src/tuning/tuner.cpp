@@ -14,6 +14,9 @@ using gpurf::fp::table3_formats;
 
 namespace {
 
+/// Fixpoint iteration bound over all registers.
+constexpr int kMaxPasses = 4;
+
 /// Count static uses of each register — registers with more uses are tuned
 /// first so that high-traffic values settle before low-traffic ones refine
 /// around them (the TACO'17 heuristic orders by estimated impact).
@@ -107,7 +110,7 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
                            << "' fails the quality threshold at full "
                               "precision; the metric or reference is broken");
 
-  for (int pass = 0; pass < opt.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool changed = false;
     if (opt.cancel)
       opt.cancel->tuner_pass.store(pass + 1, std::memory_order_relaxed);
@@ -143,11 +146,8 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
       // — which is exactly how the cursor advances here — so the accepted
       // assignment matches the serial run bit for bit, for every K.
       const size_t k_init = static_cast<size_t>(opt.speculate_batch);
-      const size_t k_max =
-          opt.speculate_batch_max > 0
-              ? static_cast<size_t>(opt.speculate_batch_max)
-              : 4 * k_init;
-      size_t k_cur = std::min(k_init, k_max);
+      const size_t k_max = 4 * k_init;
+      size_t k_cur = k_init;
       size_t t = 0;  // cursor into `targets`
       while (t < targets.size()) {
         struct Candidate {
@@ -192,13 +192,10 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
         // chains would just multiply the waste a rejection discards).
         // Results are K-invariant by construction, so the width policy
         // never affects the accepted assignment.
-        if (opt.adaptive_batch) {
-          const bool can_grow =
-              gpurf::common::ThreadPool::current().size() > 1;
-          k_cur = accepted == chain.size()
-                      ? std::min(can_grow ? k_cur * 2 : k_cur, k_max)
-                      : std::max<size_t>(1, k_cur / 2);
-        }
+        const bool can_grow = gpurf::common::ThreadPool::current().size() > 1;
+        k_cur = accepted == chain.size()
+                    ? std::min(can_grow ? k_cur * 2 : k_cur, k_max)
+                    : std::max<size_t>(1, k_cur / 2);
         if (accepted > 0) {
           res.pmap = chain[accepted - 1].pmap;
           last_score = scores[accepted - 1];

@@ -10,10 +10,10 @@
 //
 // Search strategy: greedy monotone descent per register (try the next
 // narrower format while quality holds), iterated over all registers until a
-// fixpoint, followed by a final validation run.  Each candidate assignment
-// is evaluated by actually executing the kernel with writes quantized
-// through the candidate formats (exec::PrecisionMap) and scoring the output
-// against the exact reference.
+// fixpoint (at most four passes), followed by a final validation run.  Each
+// candidate assignment is evaluated by actually executing the kernel with
+// writes quantized through the candidate formats (exec::PrecisionMap) and
+// scoring the output against the exact reference.
 
 #include <cstdint>
 #include <functional>
@@ -53,23 +53,17 @@ class QualityProbe {
 
 struct TunerOptions {
   quality::QualityLevel level = quality::QualityLevel::kPerfect;
-  int max_passes = 4;   ///< fixpoint iteration bound over all registers
-  /// Speculative batch width of the greedy descent.  1 = the original
-  /// serial loop.  K > 1 evaluates the next K candidates of the optimistic
-  /// all-accept path concurrently and accepts the longest valid prefix;
-  /// the accepted assignment is bit-for-bit identical to the serial
-  /// result (only `evaluations` grows, counting the wasted speculation).
-  /// <= 0 = auto: the current thread pool's width at tune time (an Engine
-  /// resolves this to its own thread count at construction).
+  /// Initial speculative batch width K of the greedy descent.  1 = the
+  /// original serial loop.  K > 1 evaluates the next K candidates of the
+  /// optimistic all-accept path concurrently and accepts the longest valid
+  /// prefix; the accepted assignment is bit-for-bit identical to the
+  /// serial result (only `evaluations` grows, counting the wasted
+  /// speculation).  The width then adapts to the acceptance pattern: a
+  /// rejection halves it, a fully accepted batch doubles it (on a pool
+  /// wider than one thread), clamped to [1, 4K] — results stay identical
+  /// for every width sequence.  <= 0 = auto: the current thread pool's
+  /// width at tune time (an Engine's own pool inside Engine calls).
   int speculate_batch = 0;
-  /// Adapt the batch width to the acceptance pattern: a rejection halves K
-  /// (quality failed early — deep speculation was wasted), a fully
-  /// accepted batch doubles it, clamped to [1, speculate_batch_max].  The
-  /// accepted assignment stays bit-identical by construction for every K
-  /// sequence, so adaptivity never changes results, only probe waste.
-  bool adaptive_batch = true;
-  /// Upper clamp for the adaptive width; <= 0 means 4 * speculate_batch.
-  int speculate_batch_max = 0;
   /// Skip the final validation probe at the end of tune_precision.  The
   /// probe contract makes evaluate() a pure function of the pmap, so the
   /// validation score always equals the score of the last accepted

@@ -287,9 +287,10 @@ PipelineResult compute_pipeline(const Workload& w,
     }
   }
   if (!cached) {
-    WorkloadProbe probe(w, opt.run);
+    RunOptions run;
+    run.cancel = tok;
+    WorkloadProbe probe(w, run);
     gpurf::tuning::TunerOptions topt = opt.tuner;
-    if (opt.tuner_batch > 0) topt.speculate_batch = opt.tuner_batch;
     // speculate_batch <= 0 resolves to the current pool width inside
     // tune_precision.
     // Both final validation probes run as one batch after the second tune
@@ -392,7 +393,6 @@ const PipelineResult& PipelineCache::get(const Workload& w,
     opt_.stats->memo_misses.fetch_add(1, std::memory_order_relaxed);
   PipelineOptions o = opt_;
   o.tuner.cancel = cancel;
-  o.run.cancel = cancel;
   std::unique_ptr<PipelineResult> fresh;
   try {
     fresh = std::make_unique<PipelineResult>(compute_pipeline(w, o));
@@ -425,6 +425,7 @@ gpurf::sim::KernelLaunchSpec make_launch_spec(const Workload& w,
   spec.gmem = &inst.gmem;
   spec.textures = &inst.textures;
   spec.params = inst.params;
+  spec.analysis = w.analysis();
   switch (mode) {
     case SimMode::kOriginal:
       spec.regs_per_thread = pr.pressure.original;

@@ -74,7 +74,7 @@ struct PipelineStats {
   std::atomic<bool> disk_cache_disabled{false};
 };
 
-/// Pipeline computation knobs.  An Engine fills every field from its
+/// Pipeline computation knobs.  An Engine fills the cache fields from its
 /// EngineOptions at construction; default-constructed options reproduce
 /// the legacy env-driven behaviour.
 struct PipelineOptions {
@@ -84,13 +84,8 @@ struct PipelineOptions {
   std::string cache_dir;
   /// Base tuner options (quality level is set per tuning run; a
   /// speculate_batch <= 0 resolves to the current thread pool's width).
+  /// `cancel` also stops the functional replays of the tuner's probes.
   gpurf::tuning::TunerOptions tuner;
-  /// Speculative batch width override; <= 0 defers to `tuner`.  Kept for
-  /// callers predating the full TunerOptions plumbing.
-  int tuner_batch = 0;
-  /// Interpreter strategy for every functional replay the tuner's quality
-  /// probes perform (thread_insts is ignored).
-  RunOptions run;
   /// Cache counters to bump (nullable).  Not owned; must outlive every
   /// compute_pipeline / PipelineCache::get call using these options.
   PipelineStats* stats = nullptr;
@@ -166,10 +161,9 @@ class PipelineCache {
 // fingerprint, and loading rejects any mismatch with a non-OK Status
 // instead of silently reinterpreting stale bits.
 
-/// Stable content fingerprint of a kernel (FNV-1a over its printed text) —
-/// unlike exec::KernelAnalysis::fingerprint it contains no addresses and no
-/// implementation-defined hashing, so it is comparable across processes,
-/// builds and standard libraries.
+/// Stable content fingerprint of a kernel (FNV-1a over its printed text):
+/// it contains no addresses and no implementation-defined hashing, so it
+/// is comparable across processes, builds and standard libraries.
 uint64_t kernel_cache_fingerprint(const Workload& w);
 
 /// Path of the workload's cache entry inside `dir`.

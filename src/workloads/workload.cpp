@@ -96,10 +96,7 @@ std::vector<float> Workload::run(
       uint64_t(inst.launch.grid_x) * inst.launch.grid_y > 1 &&
       pool.size() > 1 && !gpurf::common::in_pool_worker() &&
       mem_proofs(inst)->parallel_ok;
-
-  std::call_once(analysis_once_,
-                 [&] { analysis_ = gpurf::exec::analyze_kernel(kernel_); });
-  ctx.analysis = analysis_;
+  ctx.analysis = analysis();
   const uint64_t insts = gpurf::exec::run_functional(ctx);
   if (opt.thread_insts) *opt.thread_insts = insts;
   return inst.gmem.read_f32(inst.out_base, inst.out_words);

@@ -79,6 +79,16 @@ class Workload {
   const WorkloadSpec& spec() const { return spec_; }
   const gpurf::ir::Kernel& kernel() const { return kernel_; }
 
+  /// The kernel's execution analysis (CFG, ipdoms, decoded stream), built
+  /// on first use and then shared by every run() and launch spec of this
+  /// workload — safe under concurrent calls from parallel tuner probes.
+  const std::shared_ptr<const gpurf::exec::KernelAnalysis>& analysis() const {
+    std::call_once(analysis_once_, [&] {
+      analysis_ = gpurf::exec::make_kernel_analysis(kernel_);
+    });
+    return analysis_;
+  }
+
   /// Build a fresh deterministic instance.  `variant` selects among the
   /// representative sample inputs the tuner trains on (§4.1).
   virtual Instance make_instance(Scale scale, uint32_t variant) const = 0;
@@ -121,8 +131,6 @@ class Workload {
   gpurf::ir::Kernel kernel_;
 
  private:
-  /// Kernel analysis shared by every run of this workload (computed once;
-  /// safe under concurrent run() calls from parallel tuner probes).
   mutable std::shared_ptr<const gpurf::exec::KernelAnalysis> analysis_;
   mutable std::once_flag analysis_once_;
   /// Memory-proof cache, keyed by (launch, gmem words, params); guarded by

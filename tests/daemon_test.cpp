@@ -13,8 +13,10 @@
 #include <clocale>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -119,6 +121,18 @@ TEST(JsonParse, FractionalAndExponentLiteralsAreLocaleIndependent) {
     break;
   }
   std::setlocale(LC_NUMERIC, saved_name.c_str());
+}
+
+TEST(JsonParse, AsIntSaturatesAndIgnoresNonFinite) {
+  auto v = parse_ok("[1e300,-1e300,-7.9]");
+  EXPECT_EQ(v.items[0].as_int(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(v.items[1].as_int(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(v.items[2].as_int(), -7);
+  api::JsonValue n = v.items[2];
+  n.num_v = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(n.as_int(5), 5);
+  n.num_v = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(n.as_int(5), 5);
 }
 
 TEST(JsonParse, EveryEmittedSnapshotParses) {
@@ -410,6 +424,21 @@ TEST(ClientRetry, NoDaemonSurfacesUnavailableAfterBoundedRetries) {
   // A call on a never-connected client reports the connect failure.
   auto resp = client.call(R"({"op":"ping"})");
   EXPECT_EQ(resp.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(ClientRetry, ZeroBackoffWindowsRetryInsteadOfDividingByZero) {
+  // The jitter draw takes the backoff window as a modulus: zero windows
+  // are clamped to 1 ms, the initial one and the capped doubled one.
+  for (const auto& [initial, cap] : {std::pair{0, 1000}, std::pair{1, 0}}) {
+    api::ClientOptions copts;
+    copts.retries = 2;
+    copts.backoff_initial_ms = initial;
+    copts.backoff_max_ms = cap;
+    copts.connect_timeout_ms = 200;
+    api::Client client("./gpurfd_nobody_home.sock", copts);
+    EXPECT_EQ(client.status().code(), StatusCode::kUnavailable)
+        << client.status().to_string();
+  }
 }
 
 TEST(ClientRetry, RetriesUntilLateStartingServerAppears) {

@@ -100,7 +100,6 @@ TEST(Engine, OptionsAreResolvedAtConstruction) {
   Engine engine(EngineOptions().with_threads(3).with_cache_dir("xyz"));
   EXPECT_EQ(engine.options().threads, 3);
   EXPECT_EQ(engine.options().cache_dir, "xyz");
-  EXPECT_EQ(engine.options().tuner.speculate_batch, 3);  // defaulted
 
   // Unset fields resolve to process defaults (env read once, not empty).
   Engine dflt;
@@ -119,7 +118,7 @@ TEST(Engine, ConcurrentEnginesMatchLegacyGlobalPath) {
     gpurf::testing::PoolWidth width(1);
     wl::PipelineOptions opt;
     opt.use_disk_cache = false;
-    opt.tuner_batch = 1;
+    opt.tuner.speculate_batch = 1;
     ref = wl::compute_pipeline(*w, opt);
   }
 
@@ -127,14 +126,7 @@ TEST(Engine, ConcurrentEnginesMatchLegacyGlobalPath) {
   // widths and cache directories, each computing the pipeline fresh.
   TempDir dir_a("gpurf_test_cache_a"), dir_b("gpurf_test_cache_b");
   Engine a(EngineOptions().with_threads(1).with_cache_dir(dir_a.path));
-  Engine b(EngineOptions()
-               .with_threads(4)
-               .with_cache_dir(dir_b.path)
-               .with_tuner([] {
-                 tuning::TunerOptions t;
-                 t.speculate_batch = 4;
-                 return t;
-               }()));
+  Engine b(EngineOptions().with_threads(4).with_cache_dir(dir_b.path));
 
   StatusOr<wl::PipelineResult> ra = Status::Internal("unset");
   StatusOr<wl::PipelineResult> rb = Status::Internal("unset");

@@ -86,7 +86,7 @@ PipelineResult pipeline_with_width(const Workload& w, int threads,
   PoolWidth width(threads);
   PipelineOptions opt;
   opt.use_disk_cache = false;  // force fresh tuning
-  opt.tuner_batch = batch;
+  opt.tuner.speculate_batch = batch;
   return compute_pipeline(w, opt);
 }
 

@@ -324,6 +324,80 @@ TEST(Serve, HistogramsOpExportsAllStages) {
   server.stop();
 }
 
+// ------------------------------------------------ wire integer checks
+//
+// A negative, fractional or out-of-range wire integer is INVALID_ARGUMENT
+// naming the field, and no job is queued for it.  The short deadlines keep
+// a wrongly accepted request from running long.
+
+void expect_rejected(const std::string& line, const std::string& field) {
+  Engine engine(test_engine_opts());
+  api::Server server(engine, api::ServerOptions{});
+  auto resp = api::parse_json(server.handle_request_line(line));
+  ASSERT_TRUE(resp.ok() && resp->get("error")) << line;
+  const api::JsonValue& err = *resp->get("error");
+  EXPECT_EQ(err.get("code")->as_string(), "INVALID_ARGUMENT") << line;
+  EXPECT_NE(err.get("message")->as_string().find(field), std::string::npos)
+      << line;
+  EXPECT_EQ(engine.metrics_snapshot().jobs_submitted, 0u) << line;
+}
+
+TEST(WireIntegers, NegativeWritebackDelayIsRejected) {
+  expect_rejected(
+      submit_line("DWT2D", R"(,"writeback_delay":-1,"deadline_ms":50)"),
+      "writeback_delay");
+}
+
+TEST(WireIntegers, WritebackDelayAboveTheCapIsRejected) {
+  expect_rejected(
+      submit_line("DWT2D", R"(,"writeback_delay":65,"deadline_ms":50)"),
+      "writeback_delay");
+  SimRequest at_cap;
+  at_cap.compression = sim::CompressionConfig::with_writeback_delay(64);
+  EXPECT_TRUE(Engine(test_engine_opts())
+                  .check_request(JobRequest::simulate("DWT2D", at_cap))
+                  .ok());
+}
+
+TEST(WireIntegers, DeadlineBeyondRangeIsRejected) {
+  expect_rejected(R"({"op":"submit","workload":"DWT2D","deadline_ms":1e15})",
+                  "deadline_ms");
+}
+
+TEST(WireIntegers, CampaignPointCountOverflowingIntIsRejected) {
+  const std::string head =
+      R"({"op":"submit","workload":"DWT2D","scale":"sample",)"
+      R"("deadline_ms":50,)";
+  expect_rejected(head + R"("kind":"fault_campaign","densities":[0.01,0.02],)"
+                         R"("maps_per_density":2147483647})",
+                  "campaign");
+  expect_rejected(head + R"("kind":"transient_campaign","flip_rates":[1,2],)"
+                         R"("seeds_per_rate":2147483647})",
+                  "campaign");
+  expect_rejected(
+      head + R"("kind":"transient_campaign","seeds_per_rate":2147483648})",
+      "seeds_per_rate");
+}
+
+TEST(WireIntegers, FractionalOrNonNumericIntegersAreRejected) {
+  expect_rejected(submit_line("DWT2D", R"(,"variant":0.5,"deadline_ms":50)"),
+                  "variant");
+  expect_rejected(
+      submit_line("DWT2D", R"(,"sim_shards":"4","deadline_ms":50)"),
+      "sim_shards");
+}
+
+TEST(WireIntegers, JobIdOutOfRangeIsRejectedAndUnknownIsNotFound) {
+  expect_rejected(R"({"op":"status","job":1e300})", "job");
+  expect_rejected(R"({"op":"wait","job":-1,"timeout_ms":0})", "job");
+  Engine engine(test_engine_opts());
+  api::Server server(engine, api::ServerOptions{});
+  auto resp =
+      api::parse_json(server.handle_request_line(R"({"op":"status","job":7})"));
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->get("error")->get("code")->as_string(), "NOT_FOUND");
+}
+
 TEST(Serve, DeepEqualIgnoresObjectOrderButNotValues) {
   auto a = api::parse_json(R"({"x":1,"y":[1,2,{"k":true}],"z":"s"})");
   auto b = api::parse_json(R"({"z":"s","x":1,"y":[1,2,{"k":true}]})");

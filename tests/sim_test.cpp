@@ -249,6 +249,24 @@ TEST(Simulate, WritebackDelayCostsIpc) {
   EXPECT_GT(ipc0, ipc8);
 }
 
+TEST(Simulate, LaunchSpecWithoutAnalysisSimulatesTheSame) {
+  // simulate() builds the analysis a spec leaves unset; the result must
+  // equal a run on a caller-held one.
+  auto run = [&](bool hold_analysis) {
+    SimRig rig(kAxpy, LaunchConfig{30, 1, 128, 1});
+    const uint32_t n = 128 * 29 + 17;  // the last block diverges at the guard
+    std::vector<float> x(n, 1.5f), y(n, 0.25f);
+    rig.spec.params = {rig.gmem.alloc_f32(x), rig.gmem.alloc_f32(y), n};
+    rig.spec.regs_per_thread = 8;
+    if (hold_analysis)
+      rig.spec.analysis = gpurf::exec::make_kernel_analysis(rig.k);
+    return simulate(GpuConfig::fermi_gtx480(),
+                    CompressionConfig::paper_default(), rig.spec)
+        .stats;
+  };
+  gpurf::testing::expect_same_sim_stats(run(false), run(true));
+}
+
 TEST(Simulate, CompressedPipelineOverheadAtEqualOccupancy) {
   // Same occupancy, compression on vs. off: the deeper operand-collector
   // pipeline and writeback delay must not *help* (§6.2 Elevated effect).

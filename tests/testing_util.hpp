@@ -38,21 +38,15 @@ inline void expect_same_sim_stats(const gpurf::sim::SimStats& a,
   EXPECT_TRUE(a == b) << what << " (field added to SimStats but not here?)";
 }
 
-/// RAII: resize the shared thread pool, restore the previous width on
-/// scope exit — lets one process compare serial and parallel engine runs.
+/// RAII: run the calling thread's pool work on a pool of width `n` for the
+/// scope — lets one process compare serial and parallel runs.
 class PoolWidth {
  public:
-  explicit PoolWidth(int n)
-      : saved_(gpurf::common::ThreadPool::instance().size()) {
-    gpurf::common::ThreadPool::instance().resize(n);
-  }
-  ~PoolWidth() { gpurf::common::ThreadPool::instance().resize(saved_); }
-
-  PoolWidth(const PoolWidth&) = delete;
-  PoolWidth& operator=(const PoolWidth&) = delete;
+  explicit PoolWidth(int n) : pool_(n), bind_(&pool_) {}
 
  private:
-  int saved_;
+  gpurf::common::ThreadPool pool_;
+  gpurf::common::ScopedPool bind_;
 };
 
 }  // namespace gpurf::testing

@@ -9,6 +9,7 @@
 #include "analysis/range_analysis.hpp"
 #include "ir/verifier.hpp"
 #include "quality/metrics.hpp"
+#include "workloads/pipeline.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpurf::workloads {
@@ -111,6 +112,20 @@ TEST(Workloads, MetricsMatchTable4) {
   EXPECT_EQ(all[0]->spec().metric, MetricKind::kSsim);       // Deferred
   EXPECT_EQ(all[4]->spec().metric, MetricKind::kDeviation);  // CFD
   EXPECT_EQ(all[10]->spec().metric, MetricKind::kBinary);    // Hybridsort
+}
+
+TEST(Workloads, AnalysisIsHeldByTheWorkloadAndSharedWithLaunchSpecs) {
+  const auto w = make_dwt2d();
+  const gpurf::exec::KernelAnalysis* a = w->analysis().get();
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(w->analysis().get(), a);  // built once, on first use
+  EXPECT_EQ(a->num_blocks(), w->kernel().blocks.size());
+
+  // Every launch spec of the workload carries that same analysis.
+  auto inst = w->make_instance(Scale::kSample, 0);
+  const PipelineResult pr;
+  for (SimMode mode : {SimMode::kOriginal, SimMode::kCompressedHigh})
+    EXPECT_EQ(make_launch_spec(*w, inst, pr, mode).analysis.get(), a);
 }
 
 TEST(Workloads, ElevenKernelsInPaperOrder) {
