@@ -15,9 +15,9 @@
 // Usage: bench_analysis [--smoke] [--out PATH] [workload ...]
 //   --smoke: CI tripwire — exit nonzero if any workload has undefined
 //            reads, the memory-proof coverage over all workloads drops
-//            below 85%, or any workload loses block-parallel eligibility
-//            (proofs + waivers must keep every bundled workload
-//            parallel-replayable).
+//            below 85%, or any workload loses sharded-simulation
+//            eligibility (proofs + waivers must keep every bundled
+//            workload shard-ok).
 
 #include <algorithm>
 #include <chrono>
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   uint64_t mem_sites_total = 0, mem_sites_proven = 0;
   int mem_workloads = 0, mem_fully_proven = 0, mem_waived = 0;
-  int mem_parallel_ok = 0, mem_shard_ok = 0;
+  int mem_shard_ok = 0;
   int failures = 0;
 
   std::FILE* json = std::fopen(out_path, "w");
@@ -116,9 +116,8 @@ int main(int argc, char** argv) {
     ++mem_workloads;
     if (proofs->proven_sites == sites) ++mem_fully_proven;
     if (waived) ++mem_waived;
-    if (proofs->parallel_ok) ++mem_parallel_ok;
     if (proofs->shard_ok) ++mem_shard_ok;
-    if (smoke && !proofs->parallel_ok) ++failures;
+    if (smoke && !proofs->shard_ok) ++failures;
 
     std::printf("%-12s %7.1fus %5zu %5zu  %6u %6u  %7.1fus %4u/%-4u  %s%s%s\n",
                 w->spec().name.c_str(), analyze_secs * 1e6,
@@ -137,22 +136,20 @@ int main(int argc, char** argv) {
           "\"alloc_pressure\": %u, \"mem_analysis_us\": %.2f, "
           "\"mem_sites\": %u, \"mem_proven\": %u, \"stores_disjoint\": %s, "
           "\"loads_local\": %s, \"disjoint_waived\": %s, "
-          "\"parallel_ok\": %s, \"shard_ok\": %s}",
+          "\"shard_ok\": %s}",
           mem_workloads == 1 ? "" : ",", w->spec().name.c_str(),
           analyze_secs * 1e6, rep.dead_writes.size(), rep.never_read.size(),
           rep.undefined_reads.size(), rep.static_pressure, rep.alloc_pressure,
           mem_secs * 1e6, sites, proofs->proven_sites,
           proofs->mem.stores_disjoint ? "true" : "false",
           proofs->mem.loads_local ? "true" : "false",
-          waived ? "true" : "false", proofs->parallel_ok ? "true" : "false",
-          proofs->shard_ok ? "true" : "false");
+          waived ? "true" : "false", proofs->shard_ok ? "true" : "false");
     }
   }
 
   // Proof coverage over every benched workload: the smoke gate holds the
   // floor at 85% so a solver regression (or a new workload with unproven
-  // accesses and no waiver) fails CI instead of silently serialising
-  // replays.
+  // accesses and no waiver) fails CI instead of going unnoticed.
   const double coverage =
       mem_sites_total > 0
           ? static_cast<double>(mem_sites_proven) /
@@ -160,12 +157,10 @@ int main(int argc, char** argv) {
           : 1.0;
   std::printf(
       "\nmemory proofs: %llu/%llu sites proven (%.1f%%), "
-      "%d/%d workloads fully proven, %d waived, "
-      "%d parallel-ok, %d shard-ok\n",
+      "%d/%d workloads fully proven, %d waived, %d shard-ok\n",
       static_cast<unsigned long long>(mem_sites_proven),
       static_cast<unsigned long long>(mem_sites_total), coverage * 100.0,
-      mem_fully_proven, mem_workloads, mem_waived, mem_parallel_ok,
-      mem_shard_ok);
+      mem_fully_proven, mem_workloads, mem_waived, mem_shard_ok);
   if (smoke && coverage < 0.85) {
     std::printf("memory-proof coverage below the 85%% floor\n");
     ++failures;
@@ -176,11 +171,10 @@ int main(int argc, char** argv) {
                  "\n  ],\n  \"memory\": {\"sites\": %llu, \"proven\": %llu, "
                  "\"coverage\": %.4f, \"workloads\": %d, "
                  "\"fully_proven\": %d, \"waived\": %d, "
-                 "\"parallel_ok\": %d, \"shard_ok\": %d}\n}\n",
+                 "\"shard_ok\": %d}\n}\n",
                  static_cast<unsigned long long>(mem_sites_total),
                  static_cast<unsigned long long>(mem_sites_proven), coverage,
-                 mem_workloads, mem_fully_proven, mem_waived, mem_parallel_ok,
-                 mem_shard_ok);
+                 mem_workloads, mem_fully_proven, mem_waived, mem_shard_ok);
     std::fclose(json);
   }
   if (failures) {

@@ -2,16 +2,15 @@
 //
 // The tuner and the Fig. 9-12 benches replay kernels functionally thousands
 // of times, so insts/sec of run_functional() is the pipeline's governing
-// metric.  This bench measures it per workload in three modes:
+// metric.  This bench measures it per workload in two modes, each running
+// the launch's blocks in grid order on one thread:
 //
-//   scalar  — per-lane reference dispatch (exec_lane), serial blocks;
-//   soa     — warp-vectorized SoA dispatch, serial blocks;
-//   soa-Tn  — SoA dispatch, grid blocks sharded over n pool threads.
+//   scalar  — per-lane reference dispatch (exec_lane);
+//   soa     — warp-vectorized SoA dispatch.
 //
-// Every mode's output buffer and thread-instruction count are checked
+// The SoA output buffer and thread-instruction count are checked
 // bit-identical against the scalar reference before timing is reported, and
-// the results land in BENCH_interp.json so the perf trajectory is tracked
-// from this PR on.
+// the results land in BENCH_interp.json.
 //
 // Usage: bench_interp [--smoke] [workload ...]
 //   default workloads: all Table-4 kernels
@@ -20,6 +19,7 @@
 //            stays min-of-3 so one scheduler hiccup can't flake the build).
 //   GPURF_BENCH_REPS: timing repetitions per mode (default 3)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "workloads/workload.hpp"
 
 namespace wl = gpurf::workloads;
@@ -52,9 +51,7 @@ double now_secs() {
 /// Run `reps` functional replays; returns the best (minimum) wall time of a
 /// single replay plus the outputs of the last one.
 ModeResult run_mode(const wl::Workload& w, const wl::RunOptions& opt,
-                    int threads, int reps) {
-  gpurf::common::ThreadPool pool(threads);
-  gpurf::common::ScopedPool bind(&pool);
+                    int reps) {
   ModeResult r;
   r.secs = 1e30;
   for (int i = 0; i < reps; ++i) {
@@ -94,16 +91,14 @@ int main(int argc, char** argv) {
     const int n = std::atoi(env);
     if (n >= 1) reps = n;
   }
-  const int nthreads = gpurf::common::default_thread_count();
 
   std::printf("bench_interp: functional replay throughput (Minsts/sec, "
               "best of %d)\n", reps);
-  std::printf("%-11s %10s %10s %10s %8s %8s   %s\n", "Kernel", "scalar",
-              "soa", nthreads > 1 ? "soa-par" : "soa-T1", "soa/sc",
-              "par/sc", "identical");
+  std::printf("%-11s %10s %10s %8s   %s\n", "Kernel", "scalar", "soa",
+              "soa/sc", "identical");
 
   std::FILE* json = std::fopen(out_path, "w");
-  if (json) std::fprintf(json, "{\n  \"threads\": %d,\n  \"workloads\": [", nthreads);
+  if (json) std::fprintf(json, "{\n  \"workloads\": [");
 
   int failures = 0;
   bool first_row = true;
@@ -114,39 +109,30 @@ int main(int argc, char** argv) {
       if (!wanted) continue;
     }
 
-    wl::RunOptions scalar_opt{/*use_soa=*/false, /*block_parallel=*/false};
-    wl::RunOptions soa_opt{/*use_soa=*/true, /*block_parallel=*/false};
-    wl::RunOptions par_opt{/*use_soa=*/true, /*block_parallel=*/true};
+    const auto scalar = run_mode(*w, wl::RunOptions{/*use_soa=*/false}, reps);
+    const auto soa = run_mode(*w, wl::RunOptions{/*use_soa=*/true}, reps);
 
-    const auto scalar = run_mode(*w, scalar_opt, 1, reps);
-    const auto soa = run_mode(*w, soa_opt, 1, reps);
-    const auto par = run_mode(*w, par_opt, nthreads, reps);
-
-    const bool identical = bits_equal(scalar.out, soa.out) &&
-                           bits_equal(scalar.out, par.out) &&
-                           scalar.insts == soa.insts &&
-                           scalar.insts == par.insts;
+    const bool identical =
+        bits_equal(scalar.out, soa.out) && scalar.insts == soa.insts;
     if (!identical) ++failures;
 
     const double sc = scalar.insts_per_sec();
     const double so = soa.insts_per_sec();
-    const double pa = par.insts_per_sec();
     // Smoke tripwire: the SoA path must never fall behind the scalar
     // reference it replaced (generous margin for CI timer noise).
     if (smoke && so < 0.9 * sc) ++failures;
 
-    std::printf("%-11s %10.1f %10.1f %10.1f %7.2fx %7.2fx   %s\n",
-                w->spec().name.c_str(), sc / 1e6, so / 1e6, pa / 1e6,
-                sc > 0 ? so / sc : 0.0, sc > 0 ? pa / sc : 0.0,
+    std::printf("%-11s %10.1f %10.1f %7.2fx   %s\n", w->spec().name.c_str(),
+                sc / 1e6, so / 1e6, sc > 0 ? so / sc : 0.0,
                 identical ? "yes" : "NO <-- bug");
 
     if (json) {
       std::fprintf(json,
                    "%s\n    {\"name\": \"%s\", \"thread_insts\": %llu, "
                    "\"scalar_ips\": %.0f, \"soa_ips\": %.0f, "
-                   "\"soa_parallel_ips\": %.0f, \"identical\": %s}",
+                   "\"identical\": %s}",
                    first_row ? "" : ",", w->spec().name.c_str(),
-                   static_cast<unsigned long long>(scalar.insts), sc, so, pa,
+                   static_cast<unsigned long long>(scalar.insts), sc, so,
                    identical ? "true" : "false");
       first_row = false;
     }

@@ -1,7 +1,5 @@
 #include "analysis/dataflow.hpp"
 
-#include <algorithm>
-
 #include "analysis/uses.hpp"
 
 namespace gpurf::analysis {
@@ -60,20 +58,6 @@ Dataflow compute_dataflow(const Kernel& k, const Cfg& cfg) {
   }
 
   for (const DynBitset& s : df.live_before) df.ever_live.merge(s);
-
-  // Linear intervals: min/max point where the register is live, per
-  // ever-live register, half-open at the top.
-  std::vector<uint32_t> lo(nr, points), hi(nr, 0);
-  for (uint32_t p = 0; p < points; ++p) {
-    df.live_before[p].for_each_set([&](size_t rr) {
-      const uint32_t r = static_cast<uint32_t>(rr);
-      lo[r] = std::min(lo[r], p);
-      hi[r] = std::max(hi[r], p + 1);
-    });
-  }
-  for (uint32_t r = 0; r < nr; ++r)
-    if (lo[r] < points) df.intervals.push_back(LiveInterval{r, lo[r], hi[r]});
-
   return df;
 }
 
@@ -86,7 +70,6 @@ KernelReport build_kernel_report(const Kernel& k, const Cfg& cfg,
   rep.num_insts = df.num_insts;
   rep.static_pressure = df.block.max_pressure;
   rep.undefined_reads = df.block.undefined_uses;
-  rep.intervals = df.intervals;
   rep.reg_names.reserve(k.num_regs());
   for (const auto& ri : k.regs) rep.reg_names.push_back(ri.name);
 

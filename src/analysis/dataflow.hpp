@@ -28,18 +28,6 @@
 
 namespace gpurf::analysis {
 
-/// Half-open linear live range [begin, end) of one virtual register over
-/// the flattened point order — the nesfab-style summary of where a value
-/// matters.  Linear intervals over block layout order are a conservative
-/// over-approximation of the exact per-point sets (holes are ignored).
-struct LiveInterval {
-  uint32_t reg = 0;
-  uint32_t begin = 0;
-  uint32_t end = 0;
-
-  bool operator==(const LiveInterval&) const = default;
-};
-
 struct Dataflow {
   /// Block-level results this refinement started from.
   Liveness block;
@@ -61,9 +49,6 @@ struct Dataflow {
   /// somewhere.  The complement (over appearing registers) is the
   /// "never read" set the lint reports.
   DynBitset ever_live;
-
-  /// Linear live interval per ever-live register, sorted by reg id.
-  std::vector<LiveInterval> intervals;
 
   /// Def-use chain summary per register: how many instructions define /
   /// read it (guard reads count as uses).
@@ -144,7 +129,6 @@ struct KernelReport {
   std::vector<DeadWrite> dead_writes;
   /// Registers that appear in the program but are never read.
   std::vector<uint32_t> never_read;
-  std::vector<LiveInterval> intervals;
 
   // --- Static memory-access analysis (ISSUE 10).  Filled by
   // analysis::apply_memory_findings; mem_analyzed gates all of it.  The
@@ -157,7 +141,7 @@ struct KernelReport {
   uint32_t mem_proven = 0;  ///< sites statically proven in bounds
   std::vector<OobFinding> oob_errors;    ///< definite OOB (always traps)
   std::vector<OobFinding> oob_warnings;  ///< possible OOB (unproven)
-  /// Parallel-execution contract verdicts over per-block footprints.
+  /// Sharded-simulation contract verdicts over per-block footprints.
   bool footprints_computed = false;
   bool stores_disjoint = false;  ///< no two blocks store to the same word
   bool loads_local = false;      ///< no block reads another block's stores

@@ -28,7 +28,6 @@ struct Interval {
   bool contains(int64_t v) const { return !is_empty() && lo <= v && v <= hi; }
   bool lo_inf() const { return lo <= kNegInf; }
   bool hi_inf() const { return hi >= kPosInf; }
-  bool is_bounded() const { return !is_empty() && !lo_inf() && !hi_inf(); }
 
   bool operator==(const Interval& o) const {
     if (is_empty() && o.is_empty()) return true;

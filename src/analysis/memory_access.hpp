@@ -14,10 +14,10 @@
 //
 // Two consumers (the interpreter itself always checks bounds, once per
 // warp):
-//   * gating    — stores_disjoint / loads_local verdicts let Workload::run
-//                 and Engine::simulate choose block-parallel / sharded
-//                 execution only when the documented memory contract
-//                 (sim/gpu.hpp) is statically verified (or waived);
+//   * gating    — stores_disjoint / loads_local verdicts let
+//                 Engine::simulate choose sharded execution only when the
+//                 documented memory contract (sim/gpu.hpp) is statically
+//                 verified (or waived);
 //   * lint      — prove_in_bounds() coverage, definite / possible OOB
 //                 findings and overlap verdicts surface through
 //                 KernelReport, gpurf-lint and the daemon.
@@ -58,7 +58,7 @@ inline uint64_t shared_words(const gpurf::ir::Kernel& k) {
 struct MemAccess {
   uint32_t blk = 0;
   uint32_t inst = 0;   ///< index within blocks[blk].insts
-  uint32_t flat = 0;   ///< block-major flattened index (DecodedInst::flat)
+  uint32_t flat = 0;   ///< block-major flattened instruction index
   bool is_store = false;
   bool is_global = false;  ///< global vs shared address space
   int64_t mem_offset = 0;
@@ -109,9 +109,8 @@ struct MemoryAccessAnalysis {
   uint32_t blocks_checked = 0;
   /// No global word is stored by two different blocks.
   bool stores_disjoint = false;
-  /// No block loads a global word another block stores (the block-parallel
-  /// replay contract; weaker than stores_disjoint + loads_local combined
-  /// being the sharded-sim contract).
+  /// No block loads a global word another block stores.  Together with
+  /// stores_disjoint this is the sharded-simulation contract.
   bool loads_local = false;
 
   /// Per-block merged footprint hulls (diagnostics; size == blocks_checked

@@ -216,9 +216,9 @@ StatusOr<const workloads::PipelineResult*> Engine::pipeline_impl(
   // kCancelled / kDeadlineExceeded; anything else escaping the core is
   // Internal.  GPURF_ASSERT (state corruption) still aborts by design.
   try {
-    // Tune-stage latency (ISSUE 8): the memo get covers the whole tuning
-    // path on a miss and a map lookup on a hit, so fingerprint-affine
-    // routing shows up directly as a microsecond-bucket p50.
+    // Tune-stage latency: the memo get covers the whole tuning path on a
+    // miss and a map lookup on a hit, so memo hits show up directly as a
+    // microsecond-bucket p50.
     const auto t0 = detail::JobImpl::Clock::now();
     const workloads::PipelineResult* pr = &pipelines_.get(w, cancel);
     metrics_.tune_hist.record_us(wall_us_since(t0));

@@ -185,9 +185,9 @@ class Engine {
                        bool allow_undefined_reads = false) const;
 
   /// Instruction-granular lint report (PR 9): undefined reads, dead
-  /// writes, never-read registers, static vs. allocator pressure, linear
-  /// live intervals.  Never fails on ill-formed dataflow — that is what
-  /// the report is *for* — only on malformed IR.
+  /// writes, never-read registers, static vs. allocator pressure.  Never
+  /// fails on ill-formed dataflow — that is what the report is *for* —
+  /// only on malformed IR.
   ///
   /// Since ISSUE 10 the report also carries the static memory-access
   /// section: in-bounds proof coverage, definite/possible OOB findings

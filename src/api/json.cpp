@@ -469,15 +469,6 @@ std::string to_json(const analysis::KernelReport& r) {
   w.begin_array("never_read");
   for (uint32_t reg : r.never_read) w.element(uint64_t(reg));
   w.end_array();
-  w.begin_array("intervals");
-  for (const auto& iv : r.intervals) {
-    w.begin_object();
-    w.field("reg", iv.reg);
-    w.field("begin", iv.begin);
-    w.field("end", iv.end);
-    w.end_object();
-  }
-  w.end_array();
   w.field("mem_analyzed", r.mem_analyzed);
   if (r.mem_analyzed) {
     w.field("gmem_words", r.gmem_words);

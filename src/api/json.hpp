@@ -94,8 +94,8 @@ std::string to_json(const HistogramSnapshot& h, bool full);
 std::string to_json(const MetricsSnapshot& m);
 
 /// Kernel lint report (PR 9): counts, pressures, undefined reads, dead
-/// writes, never-read registers and linear live intervals — the payload
-/// of gpurf-lint --json and the {"op":"analyze"} daemon verb.
+/// writes, never-read registers and the static memory-access section —
+/// the payload of gpurf-lint --json and the {"op":"analyze"} daemon verb.
 std::string to_json(const analysis::KernelReport& r);
 
 // ------------------------------------------------------------ JSON parsing

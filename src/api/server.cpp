@@ -457,6 +457,17 @@ void Server::accept_loop(int listen_fd, bool tcp) {
 }
 
 void Server::serve_connection(int fd, uint64_t conn_id) {
+  // Oversized-request rejection: cap the unframed buffer as well as each
+  // complete line, then drop the connection — there is no way to
+  // resynchronise a stream mid-oversized-line.
+  const auto reject_oversized = [&] {
+    send_all(fd, envelope_error(
+                     metrics_json_now(),
+                     Status::InvalidArgument(
+                         "request exceeds max_request_bytes (" +
+                         std::to_string(opts_.max_request_bytes) + ")")) +
+                     "\n");
+  };
   std::string buf;
   char chunk[4096];
   bool drop = false;
@@ -476,17 +487,9 @@ void Server::serve_connection(int fd, uint64_t conn_id) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n <= 0) break;  // EOF, shutdown, or error
     buf.append(chunk, static_cast<size_t>(n));
-    // Oversized-request rejection (ISSUE 8): cap the unframed buffer as
-    // well as each complete line, then drop the connection — there is no
-    // way to resynchronise a stream mid-oversized-line.
     if (buf.size() > opts_.max_request_bytes &&
         buf.find('\n') == std::string::npos) {
-      send_all(fd, envelope_error(
-                       metrics_json_now(),
-                       Status::InvalidArgument(
-                           "request exceeds max_request_bytes (" +
-                           std::to_string(opts_.max_request_bytes) + ")")) +
-                       "\n");
+      reject_oversized();
       break;
     }
     size_t nl;
@@ -495,12 +498,7 @@ void Server::serve_connection(int fd, uint64_t conn_id) {
       buf.erase(0, nl + 1);
       if (line.empty()) continue;
       if (line.size() > opts_.max_request_bytes) {
-        send_all(fd, envelope_error(
-                         metrics_json_now(),
-                         Status::InvalidArgument(
-                             "request exceeds max_request_bytes (" +
-                             std::to_string(opts_.max_request_bytes) + ")")) +
-                         "\n");
+        reject_oversized();
         drop = true;
         break;
       }
@@ -791,43 +789,34 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
   auto job = engine_.find_job(id);
   if (!job.ok()) return envelope_error(metrics_json_now(), job.status());
 
-  bool watched_event = false;  // watch op: emitted at least the terminal tag
+  const bool watch = op == "watch";
   if (op == "cancel") {
     job->cancel();
-  } else if (op == "wait") {
-    int64_t timeout_ms = req.get("timeout_ms")
-                             ? req.get("timeout_ms")->as_int(600000)
-                             : 600000;
-    if (timeout_ms < 0) timeout_ms = 0;
+  } else if (op == "wait" || watch) {
     // Sliced wait: a stopping server must not stay pinned behind a
     // client's multi-minute wait — each slice rechecks stopping_, so
-    // stop() drains this handler within ~200ms (the response then
-    // reports whatever state the job reached).
-    while (timeout_ms > 0 && !stopping_.load(std::memory_order_acquire)) {
-      const int64_t slice = timeout_ms < 200 ? timeout_ms : 200;
-      if (job->wait_for(std::chrono::milliseconds(slice))) break;
-      timeout_ms -= slice;
-    }
-  } else if (op == "watch") {
-    // Push subscription (ISSUE 8): progress events stream as their own
-    // envelope lines whenever the job's progress fingerprint changes;
-    // the method's return value is the closing wait-style envelope.
-    // Without a transport (the in-process seam) watch degrades to wait.
-    watched_event = true;
+    // stop() drains this handler within one slice (the response then
+    // reports whatever state the job reached).  watch adds a push
+    // subscription: progress events stream as their own envelope lines
+    // whenever the job's progress fingerprint changes, and the method's
+    // return value is the closing wait-style envelope.  Without a
+    // transport (the in-process seam) watch degrades to wait.
     int64_t timeout_ms = req.get("timeout_ms")
                              ? req.get("timeout_ms")->as_int(600000)
                              : 600000;
     if (timeout_ms < 0) timeout_ms = 0;
-    int64_t progress_ms = req.get("progress_ms")
-                              ? req.get("progress_ms")->as_int(100)
-                              : 100;
-    progress_ms = std::clamp<int64_t>(progress_ms, 10, 1000);
-    std::string last_key = progress_key(*job);
+    int64_t slice_ms = 200;
+    if (watch) {
+      slice_ms = req.get("progress_ms") ? req.get("progress_ms")->as_int(100)
+                                        : 100;
+      slice_ms = std::clamp<int64_t>(slice_ms, 10, 1000);
+    }
+    std::string last_key = watch ? progress_key(*job) : std::string();
     while (timeout_ms > 0 && !stopping_.load(std::memory_order_acquire)) {
-      const int64_t slice = std::min<int64_t>(timeout_ms, progress_ms);
+      const int64_t slice = std::min<int64_t>(timeout_ms, slice_ms);
       if (job->wait_for(std::chrono::milliseconds(slice))) break;
       timeout_ms -= slice;
-      if (!push) continue;
+      if (!watch || !push) continue;
       std::string key = progress_key(*job);
       if (key == last_key) continue;
       last_key = std::move(key);
@@ -842,7 +831,7 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
   }
 
   JsonWriter w = envelope_begin();
-  if (watched_event) w.field("event", "terminal");
+  if (watch) w.field("event", "terminal");
   write_job_fields(w, *job);
 
   // Result attachment (wait and watch): inline by default; with

@@ -1,8 +1,5 @@
 #include "common/strutil.hpp"
 
-#include <cstdarg>
-#include <cstdio>
-
 namespace gpurf {
 
 std::string_view trim(std::string_view s) {
@@ -40,19 +37,6 @@ std::vector<std::string_view> split_ws(std::string_view s) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string strprintf(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list args2;
-  va_copy(args2, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
-  std::string out(static_cast<size_t>(n), '\0');
-  std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
-  va_end(args2);
-  return out;
 }
 
 }  // namespace gpurf

@@ -1,7 +1,6 @@
 #pragma once
 // Small string utilities for the assembler and report printers.
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -18,8 +17,5 @@ std::vector<std::string_view> split_ws(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
-
-/// printf-style formatting into a std::string.
-std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace gpurf

@@ -42,9 +42,9 @@ inline thread_local ThreadPool* tl_current_pool = nullptr;
 }  // namespace detail
 
 /// True when the calling thread is executing inside a parallel_for shard.
-/// Parallel facilities that would otherwise fan out (e.g. the interpreter's
-/// block-parallel grid execution) consult this to degrade to their serial
-/// path instead of queueing nested work that runs inline anyway.
+/// Parallel facilities that would otherwise fan out (the sharded timing
+/// simulator's shard crew) consult this to take their serial path instead
+/// of stacking threads under an already running fan-out.
 inline bool in_pool_worker() { return detail::tl_in_pool_worker; }
 
 /// Number of threads the pool uses by default: GPURF_THREADS when set,

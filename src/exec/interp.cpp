@@ -7,7 +7,6 @@
 #include "analysis/memory_access.hpp"
 #include "common/bitutil.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 
 namespace gpurf::exec {
 
@@ -79,11 +78,6 @@ bool BlockExec::all_done() const {
   for (const auto& w : warps_)
     if (!w.done()) return false;
   return true;
-}
-
-const Instruction* BlockExec::peek(uint32_t w) const {
-  const DecodedInst* dec = peek_decoded(w);
-  return dec ? dec->in : nullptr;
 }
 
 const DecodedInst* BlockExec::peek_decoded(uint32_t w) const {
@@ -853,63 +847,18 @@ void BlockExec::run_to_completion() {
   }
 }
 
-namespace {
-
-/// Run the contiguous linear-grid-index range [lo, hi) of blocks serially.
-void run_block_range(ExecContext& ctx, uint64_t lo, uint64_t hi) {
-  const uint32_t gx = ctx.launch.grid_x;
-  for (uint64_t i = lo; i < hi; ++i) {
-    BlockExec be(ctx, static_cast<uint32_t>(i % gx),
-                 static_cast<uint32_t>(i / gx));
-    be.run_to_completion();
-  }
-}
-
-}  // namespace
-
 uint64_t run_functional(ExecContext& ctx) {
   GPURF_ASSERT(ctx.kernel && ctx.gmem, "incomplete ExecContext");
   // Hoist the static analysis out of the per-block loop: every BlockExec
   // of this launch shares one CFG/ipdom/decoded stream.
   if (!ctx.analysis) ctx.analysis = make_kernel_analysis(*ctx.kernel);
   ctx.thread_insts = 0;
+  const uint32_t gx = ctx.launch.grid_x;
   const uint64_t nblocks = ctx.launch.num_blocks();
-
-  // Thread blocks are independent within a launch (barriers synchronise
-  // warps of one block only), so the grid shards across the pool.  Each
-  // shard executes a contiguous linear-grid range against a private copy of
-  // global memory with a write log; the logs are replayed in grid order,
-  // which reproduces the serial loop's final image and instruction count
-  // for every kernel whose blocks do not read other blocks' writes (the
-  // CUDA contract — see ExecContext::block_parallel).  Nested calls (tuner
-  // probes already running on pool workers) and explicitly serialised
-  // callers fall through to the serial loop.
-  auto& pool = gpurf::common::ThreadPool::current();
-  const bool parallel = ctx.block_parallel && nblocks > 1 &&
-                        pool.size() > 1 && !gpurf::common::in_pool_worker();
-  if (!parallel) {
-    run_block_range(ctx, 0, nblocks);
-    return ctx.thread_insts;
-  }
-
-  const size_t nshards =
-      static_cast<size_t>(std::min<uint64_t>(nblocks, pool.size()));
-  std::vector<GlobalMemory> shard_mem(nshards);
-  std::vector<uint64_t> shard_insts(nshards, 0);
-  pool.parallel_for(nshards, [&](size_t s) {
-    const uint64_t lo = nblocks * s / nshards;
-    const uint64_t hi = nblocks * (s + 1) / nshards;
-    shard_mem[s] = *ctx.gmem;  // private image (write-combine buffer)
-    shard_mem[s].begin_write_log();
-    ExecContext sub = ctx;
-    sub.gmem = &shard_mem[s];
-    sub.thread_insts = 0;
-    run_block_range(sub, lo, hi);
-    shard_insts[s] = sub.thread_insts;
-  });
-  for (size_t s = 0; s < nshards; ++s) {
-    ctx.gmem->merge_written(shard_mem[s]);
-    ctx.thread_insts += shard_insts[s];
+  for (uint64_t i = 0; i < nblocks; ++i) {
+    BlockExec be(ctx, static_cast<uint32_t>(i % gx),
+                 static_cast<uint32_t>(i / gx));
+    be.run_to_completion();
   }
   return ctx.thread_insts;
 }

@@ -26,9 +26,9 @@
 // the scalar path, so it raises the same gpurf::Error at the same lane
 // after the same partial stores, and a wrapped global address (at or past
 // 2^32, which the scalar path reads as a u32 word) loads the same word.
-// run_functional() additionally shards independent grid blocks across the
-// shared thread pool with per-shard write-combine buffers merged in grid
-// order, so parallel runs stay bit-identical to the serial schedule.
+// run_functional() runs one launch's blocks in grid order on the calling
+// thread; replay parallelism lives one level up, where the tuner's probe
+// batch fans (candidate x sample variant) replays out over the pool.
 
 #include <array>
 #include <cstdint>
@@ -114,9 +114,6 @@ class BlockExec {
   bool warp_done(uint32_t w) const { return warps_[w].done(); }
   bool all_done() const;
 
-  /// The instruction the warp will execute next (nullptr when done).
-  const gpurf::ir::Instruction* peek(uint32_t w) const;
-
   /// Predecoded view of the next instruction (nullptr when done) — lets the
   /// timing simulator reuse the decoded-stream flags instead of re-deriving
   /// opcode classes per issue attempt.
@@ -171,8 +168,9 @@ class BlockExec {
   std::vector<uint32_t> shared_;
 };
 
-/// Run the entire grid functionally (block by block).  Returns the total
-/// number of thread instructions executed.
+/// Run the entire grid functionally, block by block in linear grid order
+/// on the calling thread.  Returns the total number of thread instructions
+/// executed.
 uint64_t run_functional(ExecContext& ctx);
 
 }  // namespace gpurf::exec

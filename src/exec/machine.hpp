@@ -99,32 +99,10 @@ class GlobalMemory {
     return true;
   }
 
-  /// Write-combine support for block-parallel functional execution: a shard
-  /// runs its blocks against a private copy of the memory image with dirty
-  /// tracking enabled, and the owner merges each shard's written words in
-  /// grid order.  The dirty set is a bitmap (one bit per word), so tracking
-  /// cost is bounded by the image size, not by the dynamic store count.
+  /// Arm per-word write tracking: from here on every store marks its word
+  /// in a dirty bitmap (one bit per word, so the cost is bounded by the
+  /// image size, not by the dynamic store count).
   void begin_write_log() { dirty_.assign((words_.size() + 63) / 64, 0); }
-
-  /// Copy every word `shard` (a private copy of this memory) has written
-  /// since begin_write_log() into this image.  Applying shards in ascending
-  /// grid order reproduces the serial schedule's final image for every
-  /// kernel whose blocks do not read each other's writes (inter-block gmem
-  /// communication within one launch is unordered on real hardware too);
-  /// overlapping writes resolve to the highest grid index, as serially.
-  void merge_written(const GlobalMemory& shard) {
-    GPURF_ASSERT(shard.words_.size() == words_.size(),
-                 "write-combine merge from a diverged memory image");
-    for (size_t w = 0; w < shard.dirty_.size(); ++w) {
-      uint64_t bits = shard.dirty_[w];
-      while (bits) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const size_t addr = w * 64 + static_cast<size_t>(b);
-        words_[addr] = shard.words_[addr];
-      }
-    }
-  }
 
   /// Word addresses written since begin_write_log(), ascending.  The fuzz
   /// soundness oracle diffs these per-block dynamic store sets against the
@@ -220,25 +198,10 @@ struct ExecContext {
 
   /// Execution strategy.  use_soa selects the warp-vectorized SoA data path
   /// (false = the scalar exec_lane reference, kept for asserts/fuzzing);
-  /// it is bit-for-bit neutral unconditionally.  block_parallel lets
-  /// run_functional shard independent grid blocks across the thread pool
-  /// (automatically serial inside pool workers); it reproduces the serial
-  /// schedule exactly for kernels whose blocks never *read* gmem written by
-  /// another block in the same launch — the CUDA contract (blocks are
-  /// unordered; such reads are races on real hardware too).  Since ISSUE 10
-  /// this is no longer an unchecked precondition: Workload::run consults
-  /// the static memory-access analysis (analysis/memory_access.hpp) and
-  /// only keeps block_parallel when the no-cross-block-reads property is
-  /// *proven* for the launch (or the workload carries a documented
-  /// assume_disjoint waiver); unproven kernels silently take the
-  /// bit-identical serial path.  Callers driving ExecContext directly
-  /// still own the contract themselves.
+  /// it is bit-for-bit neutral unconditionally.
   bool use_soa = true;
-  bool block_parallel = true;
 
-  // Statistics accumulated during execution.  Under block-parallel runs
-  // thread_insts is a per-shard reduction folded in grid order, never a
-  // shared counter.
+  // Statistics accumulated during execution.
   uint64_t thread_insts = 0;
 };
 

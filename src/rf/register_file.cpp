@@ -3,7 +3,7 @@
 namespace gpurf::rf {
 
 BankedRegisterFile::BankedRegisterFile(const RegisterFileGeom& g)
-    : geom_(g), storage_(static_cast<size_t>(g.total_warp_registers())) {
+    : storage_(static_cast<size_t>(g.total_warp_registers())) {
   for (auto& r : storage_) r.fill(0);
 }
 

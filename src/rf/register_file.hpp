@@ -34,8 +34,6 @@ class BankedRegisterFile {
  public:
   explicit BankedRegisterFile(const RegisterFileGeom& g = RegisterFileGeom{});
 
-  const RegisterFileGeom& geom() const { return geom_; }
-
   static int bank_of(uint32_t phys_reg, uint32_t warp_id) {
     return static_cast<int>((phys_reg + warp_id) % 16u);
   }
@@ -52,7 +50,6 @@ class BankedRegisterFile {
                     uint32_t bitmask);
 
  private:
-  RegisterFileGeom geom_;
   std::vector<WarpRegister> storage_;
 };
 

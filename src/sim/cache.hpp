@@ -27,7 +27,6 @@ class Cache {
   bool access(uint64_t line);
 
   const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
 
  private:
   struct Line {

@@ -886,12 +886,8 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
     }
   };
 
-  if (nshards <= 1) {
-    while (!stop) {
-      for (auto& sm : sms) sm->tick(cycle);
-      serial_phase();
-    }
-  } else {
+  bool crew_ran = false;
+  if (nshards > 1) {
     common::CycleBarrier barrier(nshards);
     const auto shard_loop = [&](size_t shard) {
       // Contiguous static SM partition, same formula as parallel_for's
@@ -938,11 +934,13 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
       gate.store(1, std::memory_order_release);
       shard_loop(0);
       for (auto& t : extra) t.join();
-    } else {
-      while (!stop) {
-        for (auto& sm : sms) sm->tick(cycle);
-        serial_phase();
-      }
+      crew_ran = true;
+    }
+  }
+  if (!crew_ran) {  // one shard, or the crew could not be spawned
+    while (!stop) {
+      for (auto& sm : sms) sm->tick(cycle);
+      serial_phase();
     }
   }
   if (err) std::rethrow_exception(err);

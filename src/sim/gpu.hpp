@@ -38,12 +38,11 @@
 // order-sensitive).  SimStats are therefore bit-identical to the serial
 // schedule at every shard count.
 //
-// Sharded memory contract (stricter than block-parallel run_functional,
-// which replays a write log in grid order): blocks of one launch must
-// neither read another block's global-memory writes NOR store to a word
-// another block stores to — SMs execute functionally against the one
-// shared GlobalMemory during the parallel tick, so overlapping stores
-// from different SMs would be an unsynchronized data race.  Since
+// Sharded memory contract: blocks of one launch must neither read another
+// block's global-memory writes NOR store to a word another block stores
+// to — SMs execute functionally against the one shared GlobalMemory
+// during the parallel tick, so overlapping stores from different SMs
+// would be an unsynchronized data race.  Since
 // ISSUE 10 this contract is statically verified, not assumed: the
 // memory-access analysis (analysis/memory_access.hpp) proves per-block
 // store/load footprint disjointness from the launch's concrete

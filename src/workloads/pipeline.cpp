@@ -44,24 +44,15 @@ class WorkloadProbe final : public gpurf::tuning::QualityProbe {
   }
 
   double evaluate(const gpurf::exec::PrecisionMap& pmap) override {
-    const size_t nv = protos_.size();
-    std::vector<double> scores(nv, 0.0);
-    gpurf::common::parallel_for(nv, [&](size_t v) {
-      scores[v] = score_variant(pmap, v);
-    });
-    // Ordered pessimistic fold — identical to the serial loop regardless
-    // of which thread scored which variant.
-    double combined = scores[0];
-    for (size_t v = 1; v < nv; ++v) combined = worse(combined, scores[v]);
-    return combined;
+    return evaluate_batch({&pmap})[0];
   }
 
-  /// Batch fan-out at (candidate x variant) granularity: the tuner's
-  /// speculative chain of K candidates becomes K * num_variants
+  /// The probe's one fan-out, at (candidate x variant) granularity: the
+  /// tuner's speculative chain of K candidates becomes K * num_variants
   /// independent functional replays, so the pool stays saturated even when
   /// K is smaller than the thread count (e.g. right after the adaptive
-  /// width shrank).  The per-candidate pessimistic fold runs in variant
-  /// order, identical to evaluate().
+  /// width shrank).  Each candidate's pessimistic fold runs in variant
+  /// order, so scores do not depend on which thread replayed what.
   std::vector<double> evaluate_batch(
       const std::vector<const gpurf::exec::PrecisionMap*>& pmaps) override {
     const size_t nv = protos_.size();

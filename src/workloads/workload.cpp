@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 
@@ -60,12 +59,11 @@ std::shared_ptr<const Workload::MemProofs> Workload::mem_proofs(
       proofs->mem, proofs->gmem_words, analysis::shared_words(kernel_));
   for (const auto& a : proofs->mem.accesses)
     proofs->proven_sites += proofs->proven[a.flat];
-  proofs->parallel_ok = proofs->mem.loads_local || spec_.assume_disjoint;
   proofs->shard_ok =
       (proofs->mem.loads_local && proofs->mem.stores_disjoint) ||
       spec_.assume_disjoint;
 
-  // A concurrent replay may have raced us here; both results are equal.
+  // A concurrent caller may have raced us here; both results are equal.
   std::lock_guard<std::mutex> lock(mem_mu_);
   return mem_cache_.emplace(key, std::move(proofs)).first->second;
 }
@@ -86,16 +84,6 @@ std::vector<float> Workload::run(
   ctx.precision = pmap;
   ctx.range_check = range_check;
   ctx.use_soa = opt.use_soa;
-  // Block-parallel replay requires the no-cross-block-reads contract
-  // proven (or waived), so the proofs are solved exactly when run_functional
-  // could actually shard the grid: several blocks, a real pool, and not
-  // already inside a pool worker (tuner probes replay serially).
-  const auto& pool = gpurf::common::ThreadPool::current();
-  ctx.block_parallel =
-      opt.block_parallel &&
-      uint64_t(inst.launch.grid_x) * inst.launch.grid_y > 1 &&
-      pool.size() > 1 && !gpurf::common::in_pool_worker() &&
-      mem_proofs(inst)->parallel_ok;
   ctx.analysis = analysis();
   const uint64_t insts = gpurf::exec::run_functional(ctx);
   if (opt.thread_insts) *opt.thread_insts = insts;

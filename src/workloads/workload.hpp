@@ -31,13 +31,13 @@ struct WorkloadSpec {
   int group = 2;                 ///< 1 graphics / 2 Rodinia-style / 3 binary
   uint32_t paper_regs = 0;       ///< Table 4 "register usage per thread"
   uint32_t warps_per_block = 8;  ///< Table 4
-  /// Documented waiver of the parallel-execution memory contract
-  /// (ISSUE 10): the static disjointness prover cannot establish
-  /// loads_local / stores_disjoint for this kernel (interleaved-row tiles,
-  /// data-dependent addressing, ...), but the author asserts the contract
-  /// holds — block-parallel replay and sharded simulation stay enabled.
-  /// Workloads without the waiver get the contract *proven* per launch or
-  /// fall back to the bit-identical serial path.
+  /// Documented waiver of the sharded-simulation memory contract: the
+  /// static disjointness prover cannot establish loads_local /
+  /// stores_disjoint for this kernel (interleaved-row tiles, data-dependent
+  /// addressing, ...), but the author asserts the contract holds — sharded
+  /// simulation stays enabled.  Workloads without the waiver get the
+  /// contract *proven* per launch or fall back to the bit-identical serial
+  /// schedule.
   bool assume_disjoint = false;
 };
 
@@ -46,13 +46,10 @@ struct WorkloadSpec {
 enum class Scale { kSample, kFull };
 
 /// Interpreter strategy knobs threaded into the ExecContext.  SoA vs the
-/// scalar reference is bit-identical unconditionally; block-parallel vs
-/// serial is bit-identical because no Table-4 kernel reads gmem written by
-/// another block of the same launch (see ExecContext::block_parallel) —
-/// benches and differential tests flip both knobs to pin this.
+/// scalar reference is bit-identical unconditionally — benches and
+/// differential tests flip the knob to pin this.
 struct RunOptions {
   bool use_soa = true;
-  bool block_parallel = true;
   uint64_t* thread_insts = nullptr;  ///< out: executed thread instructions
   /// Cooperative cancellation/deadline checkpoint, polled at the start of
   /// every functional replay (a replay itself always runs to completion,
@@ -100,8 +97,8 @@ class Workload {
   std::unique_ptr<gpurf::quality::QualityMetric> make_metric(
       const Instance& inst) const;
 
-  /// Run the kernel functionally on `inst` (mutating its memory) and
-  /// return the output buffer.  `pmap` quantizes f32 register writes;
+  /// Run the kernel functionally on `inst` (mutating its memory, blocks in
+  /// grid order on the calling thread) and return the output buffer.  `pmap` quantizes f32 register writes;
   /// `range_check` asserts integer writes stay in their analysed ranges.
   std::vector<float> run(Instance& inst, const gpurf::exec::PrecisionMap* pmap,
                          const analysis::RangeAnalysisResult* range_check =
@@ -109,18 +106,17 @@ class Workload {
                          const RunOptions& opt = {}) const;
 
   /// Static memory proofs for one launch shape: the disjointness verdicts
-  /// gating block-parallel replay and sharded simulation, plus the
-  /// per-instruction in-bounds flags the lint reports as proof coverage.
+  /// gating sharded simulation, plus the per-instruction in-bounds flags
+  /// the lint reports as proof coverage.
   /// Proofs depend on (launch geometry, params, gmem size), so they are
-  /// cached per key — replays of the same instance shape pay the solve
-  /// once.
+  /// cached per key — simulations of the same instance shape pay the
+  /// solve once.
   struct MemProofs {
     analysis::MemoryAccessAnalysis mem;
     std::vector<uint8_t> proven;  ///< per flattened instruction
     uint32_t proven_sites = 0;    ///< memory sites proven in bounds
     uint64_t gmem_words = 0;
-    bool parallel_ok = false;  ///< loads_local proven or waived
-    bool shard_ok = false;     ///< loads_local && stores_disjoint, or waived
+    bool shard_ok = false;  ///< loads_local && stores_disjoint, or waived
   };
   std::shared_ptr<const MemProofs> mem_proofs(const Instance& inst) const;
 
@@ -134,7 +130,7 @@ class Workload {
   mutable std::shared_ptr<const gpurf::exec::KernelAnalysis> analysis_;
   mutable std::once_flag analysis_once_;
   /// Memory-proof cache, keyed by (launch, gmem words, params); guarded by
-  /// mem_mu_ against concurrent tuner probes.
+  /// mem_mu_ against concurrent callers (simulate jobs, analyze).
   mutable std::mutex mem_mu_;
   mutable std::map<std::string, std::shared_ptr<const MemProofs>> mem_cache_;
 };

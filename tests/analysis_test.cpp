@@ -394,38 +394,5 @@ entry:
   EXPECT_FALSE(rep.clean());
 }
 
-TEST(Dataflow, IntervalsCoverEveryLivePoint) {
-  // Random fuzz-shaped kernels: wherever the per-point sets say a register
-  // is live, its linear interval must cover that point (intervals are a
-  // conservative over-approximation), and intervals exist exactly for
-  // ever-live registers.
-  for (uint32_t seed = 1; seed <= 8; ++seed) {
-    Pcg32 rng(seed, 0xDA7A);
-    std::string s = ".kernel iv" + std::to_string(seed) + "\n.reg s32 %x\n"
-                    ".reg s32 %y\n.reg s32 %z\n.reg pred %p\nentry:\n"
-                    "  mov.s32 %x, %tid.x\n  mov.s32 %y, 3\n";
-    for (int op = 0; op < int(3 + rng.next_below(8)); ++op)
-      s += (rng.next_below(2) ? "  add.s32 %z, %x, %y\n"
-                              : "  mul.s32 %y, %z, 2\n");
-    s += "  setp.lt.s32 %p, %x, 9\n  @%p add.s32 %z, %z, 1\n"
-         "  st.global.s32 [%x], %z\n  ret\n";
-    auto k = parse_kernel(s);
-    Cfg cfg = build_cfg(k);
-    const Dataflow df = compute_dataflow(k, cfg);
-
-    std::vector<const LiveInterval*> by_reg(k.num_regs(), nullptr);
-    for (const auto& iv : df.intervals) by_reg[iv.reg] = &iv;
-    for (uint32_t p = 0; p < df.num_points; ++p) {
-      df.live_before[p].for_each_set([&](size_t r) {
-        ASSERT_NE(by_reg[r], nullptr) << "reg " << r;
-        EXPECT_LE(by_reg[r]->begin, p);
-        EXPECT_LT(p, by_reg[r]->end);
-      });
-    }
-    for (const auto& iv : df.intervals)
-      EXPECT_TRUE(df.ever_live.test(iv.reg));
-  }
-}
-
 }  // namespace
 }  // namespace gpurf::analysis

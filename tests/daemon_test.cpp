@@ -208,7 +208,6 @@ TEST(Daemon, AnalyzeOpReturnsKernelReport) {
   EXPECT_TRUE(r->get("undefined_reads")->items.empty());
   EXPECT_GT(r->get("static_pressure")->as_int(), 0);
   EXPECT_GT(r->get("alloc_pressure")->as_int(), 0);
-  EXPECT_FALSE(r->get("intervals")->items.empty());
 
   // Inline kernel with an undefined read: the analysis itself succeeds
   // and the report carries the finding.

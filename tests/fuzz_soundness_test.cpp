@@ -12,11 +12,8 @@
 //      per-lane reference path produce bit-identical memory images and
 //      instruction counts, including float kernels with divergent control
 //      flow, guards, and partially valid warps (ISSUE 2);
-//   6. block-parallel determinism — sharding grid blocks across the thread
-//      pool with write-combine buffers reproduces the serial schedule's
-//      image exactly;
-//   7. static memory-proof soundness (ISSUE 10) — per-block dynamic store
-//      sets (captured through the write log) always lie inside the static
+//   6. static memory-proof soundness — per-block dynamic store sets
+//      (captured through the write log) always lie inside the static
 //      footprint hulls, the overlap prover never calls dynamically
 //      overlapping kernels stores-disjoint, and proven sites replay under
 //      the checked interpreter (SoA and scalar) without a fault.
@@ -33,12 +30,10 @@
 #include "analysis/memory_access.hpp"
 #include "analysis/range_analysis.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "exec/interp.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
-#include "testing_util.hpp"
 
 namespace gpurf {
 namespace {
@@ -237,8 +232,7 @@ struct RunOutput {
 
 RunOutput run_kernel_cfg(const ir::Kernel& k,
                          const analysis::RangeAnalysisResult* rc,
-                         const ir::LaunchConfig& launch, bool use_soa,
-                         bool block_parallel) {
+                         const ir::LaunchConfig& launch, bool use_soa) {
   exec::GlobalMemory gmem;
   const uint32_t out = gmem.alloc(64 * 32 + 1024);
   exec::ExecContext ctx;
@@ -248,7 +242,6 @@ RunOutput run_kernel_cfg(const ir::Kernel& k,
   ctx.params = {out};
   ctx.range_check = rc;
   ctx.use_soa = use_soa;
-  ctx.block_parallel = block_parallel;
   RunOutput r;
   r.thread_insts = exec::run_functional(ctx);
   // Compare raw words (outputs are integers; float reinterpretation would
@@ -261,11 +254,9 @@ RunOutput run_kernel_cfg(const ir::Kernel& k,
 std::vector<uint32_t> run_kernel(const ir::Kernel& k,
                                  const analysis::RangeAnalysisResult* rc) {
   return run_kernel_cfg(k, rc, ir::LaunchConfig{2, 1, 32, 1},
-                        /*use_soa=*/true, /*block_parallel=*/false)
+                        /*use_soa=*/true)
       .words;
 }
-
-using gpurf::testing::PoolWidth;
 
 class FuzzSoundness : public ::testing::TestWithParam<uint32_t> {};
 
@@ -330,20 +321,10 @@ TEST_P(FuzzSoundness, SliceAllocationValid) {
 TEST_P(FuzzSoundness, SoaMatchesScalarReference) {
   ir::Kernel k = ir::parse_kernel(generate_kernel(GetParam()));
   const ir::LaunchConfig lc{2, 1, 32, 1};
-  const auto soa = run_kernel_cfg(k, nullptr, lc, true, false);
-  const auto scalar = run_kernel_cfg(k, nullptr, lc, false, false);
+  const auto soa = run_kernel_cfg(k, nullptr, lc, true);
+  const auto scalar = run_kernel_cfg(k, nullptr, lc, false);
   EXPECT_EQ(soa.words, scalar.words);
   EXPECT_EQ(soa.thread_insts, scalar.thread_insts);
-}
-
-TEST_P(FuzzSoundness, BlockParallelMatchesSerial) {
-  ir::Kernel k = ir::parse_kernel(generate_kernel(GetParam()));
-  const ir::LaunchConfig lc{4, 2, 32, 1};  // 8 blocks to shard
-  const auto serial = run_kernel_cfg(k, nullptr, lc, true, false);
-  PoolWidth width(4);
-  const auto parallel = run_kernel_cfg(k, nullptr, lc, true, true);
-  EXPECT_EQ(serial.words, parallel.words);
-  EXPECT_EQ(serial.thread_insts, parallel.thread_insts);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSoundness,
@@ -351,8 +332,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSoundness,
 
 // Divergent float kernels: the SIMT stack splits, guards mask lanes, the
 // second warp runs partially valid (48 threads), and several blocks write
-// overlapping addresses (every block stores the same out-range), which
-// exercises the grid-order write-combine merge.
+// overlapping addresses (every block stores the same out-range).
 class FuzzDivergent : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(FuzzDivergent, SoaMatchesScalarReference) {
@@ -360,27 +340,17 @@ TEST_P(FuzzDivergent, SoaMatchesScalarReference) {
   ir::Kernel k = ir::parse_kernel(text);
   ASSERT_NO_THROW(ir::verify(k)) << text;
   const ir::LaunchConfig lc{3, 1, 48, 1};
-  const auto soa = run_kernel_cfg(k, nullptr, lc, true, false);
-  const auto scalar = run_kernel_cfg(k, nullptr, lc, false, false);
+  const auto soa = run_kernel_cfg(k, nullptr, lc, true);
+  const auto scalar = run_kernel_cfg(k, nullptr, lc, false);
   EXPECT_EQ(soa.words, scalar.words) << text;
   EXPECT_EQ(soa.thread_insts, scalar.thread_insts);
-}
-
-TEST_P(FuzzDivergent, BlockParallelMatchesSerialScalar) {
-  ir::Kernel k = ir::parse_kernel(generate_divergent_kernel(GetParam()));
-  const ir::LaunchConfig lc{5, 1, 48, 1};
-  const auto serial = run_kernel_cfg(k, nullptr, lc, false, false);
-  PoolWidth width(4);
-  const auto parallel = run_kernel_cfg(k, nullptr, lc, true, true);
-  EXPECT_EQ(serial.words, parallel.words);
-  EXPECT_EQ(serial.thread_insts, parallel.thread_insts);
 }
 
 TEST_P(FuzzDivergent, DeterministicExecution) {
   ir::Kernel k = ir::parse_kernel(generate_divergent_kernel(GetParam()));
   const ir::LaunchConfig lc{3, 1, 48, 1};
-  EXPECT_TRUE(run_kernel_cfg(k, nullptr, lc, true, false) ==
-              run_kernel_cfg(k, nullptr, lc, true, false));
+  EXPECT_TRUE(run_kernel_cfg(k, nullptr, lc, true) ==
+              run_kernel_cfg(k, nullptr, lc, true));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDivergent,
@@ -462,8 +432,8 @@ TEST_P(FuzzDeadWrites, PlantedDeadWritesAreFlagged) {
   // The dead writes execute like any other: SoA matches the scalar
   // reference bit-for-bit on these kernels too.
   const ir::LaunchConfig lc{2, 1, 32, 1};
-  EXPECT_TRUE(run_kernel_cfg(k, nullptr, lc, false, false) ==
-              run_kernel_cfg(k, nullptr, lc, true, false))
+  EXPECT_TRUE(run_kernel_cfg(k, nullptr, lc, false) ==
+              run_kernel_cfg(k, nullptr, lc, true))
       << text;
 }
 
@@ -534,7 +504,6 @@ std::vector<std::vector<uint32_t>> per_block_store_sets(
     ctx.gmem = &gmem;
     ctx.params = {out};
     ctx.use_soa = true;
-    ctx.block_parallel = false;
     exec::run_functional(ctx);
     sets.push_back(gmem.written_words());
   }
@@ -632,7 +601,6 @@ TEST_P(FuzzMemProofs, ProvenSitesReplayCheckedIdentically) {
     ctx.gmem = &gmem;
     ctx.params = {o};
     ctx.use_soa = soa;
-    ctx.block_parallel = false;
     RunOutput r;
     r.thread_insts = exec::run_functional(ctx);
     const auto view = gmem.view(o, kMemWords);

@@ -85,16 +85,16 @@ entry:
   const auto ma = analyze(k, {4, 1, 32, 1}, {16});
   ASSERT_TRUE(ma.footprints_computed);
   EXPECT_FALSE(ma.stores_disjoint);
-  // No loads at all: the block-parallel contract (no cross-block *read*)
-  // holds vacuously — overlapping stores are legal there, the write-log
-  // merge resolves them in grid order.  Only sharding must refuse.
+  // No loads at all: loads_local (no cross-block *read*) holds vacuously
+  // although the stores overlap, so the sharding contract, which needs
+  // both verdicts, must refuse.
   EXPECT_TRUE(ma.loads_local);
 }
 
 TEST(MemoryAccess, CrossBlockReadRefusesLoadsLocal) {
-  // Disjoint stores, but each block also loads block 0's slot: the
-  // block-parallel contract (no cross-block read) must fail while
-  // stores_disjoint holds.
+  // Disjoint stores, but each block also loads block 0's slot:
+  // loads_local (no cross-block read) must fail while stores_disjoint
+  // holds.
   ir::Kernel k = ir::parse_kernel(R"(.kernel crossread
 .param s32 out_base
 .reg s32 %gid
@@ -200,14 +200,13 @@ TEST(MemoryAccess, AnalysisIsDeterministic) {
 
 // ------------------------------------------------------ workload proofs
 
-TEST(MemoryAccess, WorkloadProofsGateParallelReplay) {
+TEST(MemoryAccess, WorkloadProofsGateShardedSimulation) {
   // DWT2D is fully proven (no waiver); every bundled workload must end up
-  // parallel-eligible one way or the other (proof or documented waiver) —
-  // losing eligibility silently serialises replay.
+  // shard-eligible one way or the other (proof or documented waiver) —
+  // losing eligibility silently serialises simulation.
   for (const auto& w : wl::make_all_workloads()) {
     auto inst = w->make_instance(wl::Scale::kSample, 0);
     const auto proofs = w->mem_proofs(inst);
-    EXPECT_TRUE(proofs->parallel_ok) << w->spec().name;
     EXPECT_TRUE(proofs->shard_ok) << w->spec().name;
     if (w->spec().name == "DWT2D") {
       EXPECT_FALSE(w->spec().assume_disjoint);

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "alloc/slice_alloc.hpp"
-#include "common/bitutil.hpp"
 #include "common/thread_pool.hpp"
 #include "rf/value_extractor.hpp"
 #include "rf/value_truncator.hpp"
@@ -121,56 +120,6 @@ TEST(ParallelDeterminism, AdaptiveBatchWidthDoesNotChangeResults) {
   const auto k8 = pipeline_with_width(*w, 4, 8);
   expect_same_pipeline(serial, k3);
   expect_same_pipeline(serial, k8);
-}
-
-// ------------------------------------------- block-parallel run_functional
-
-/// One functional replay of a workload instance under the given knobs.
-struct RunOut {
-  std::vector<float> out;
-  uint64_t insts = 0;
-};
-
-RunOut replay(const Workload& w, uint32_t variant, const RunOptions& opt) {
-  RunOut r;
-  RunOptions o = opt;
-  o.thread_insts = &r.insts;
-  auto inst = w.make_instance(Scale::kSample, variant);
-  r.out = w.run(inst, nullptr, nullptr, o);
-  return r;
-}
-
-void expect_bitwise_equal(const std::vector<float>& a,
-                          const std::vector<float>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(gpurf::float_bits(a[i]), gpurf::float_bits(b[i])) << "word " << i;
-}
-
-TEST(BlockParallelDeterminism, GmemImageAndInstCountMatchSerial) {
-  for (const auto& make : {make_dwt2d, make_hotspot, make_deferred}) {
-    const auto w = make();
-    // Reference: serial blocks on the scalar data path.
-    const auto ref =
-        replay(*w, 0, RunOptions{/*use_soa=*/false, /*block_parallel=*/false});
-    // Block-parallel SoA across a 4-wide pool.
-    PoolWidth width(4);
-    const auto par =
-        replay(*w, 0, RunOptions{/*use_soa=*/true, /*block_parallel=*/true});
-    expect_bitwise_equal(ref.out, par.out);
-    EXPECT_EQ(ref.insts, par.insts) << w->spec().name;
-  }
-}
-
-TEST(BlockParallelDeterminism, RepeatedParallelReplaysAreIdentical) {
-  const auto w = make_hotspot3d();
-  PoolWidth width(4);
-  const auto a =
-      replay(*w, 1, RunOptions{/*use_soa=*/true, /*block_parallel=*/true});
-  const auto b =
-      replay(*w, 1, RunOptions{/*use_soa=*/true, /*block_parallel=*/true});
-  expect_bitwise_equal(a.out, b.out);
-  EXPECT_EQ(a.insts, b.insts);
 }
 
 // ------------------------------------------------- multi-SM sharded sim

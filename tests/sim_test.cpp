@@ -190,6 +190,10 @@ TEST(Simulate, TimedOutputsMatchUntimedExecution) {
   EXPECT_EQ(a.gmem.read_f32(ya, n), b.gmem.read_f32(yb, n));
 }
 
+// A serial dependency chain per thread.  Every thread stores to its own
+// word, out[ctaid.x * ntid.x + tid.x], so no two blocks share a store
+// address — the sharded simulator's memory contract.  Callers allocate
+// 64 words per block.
 constexpr std::string_view kChain = R"(
 .kernel chain
 .param s32 out
@@ -211,7 +215,8 @@ body:
   add.s32 %i, %i, 1
   bra loop
 done:
-  mov.s32 %a, %tid.x
+  mov.s32 %a, %ctaid.x
+  mad.s32 %a, %a, %ntid.x, %tid.x
   add.s32 %a, %a, $out
   st.global.f32 [%a], %v
   ret
