@@ -834,44 +834,12 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
   if (watch) w.field("event", "terminal");
   write_job_fields(w, *job);
 
-  // Result attachment (wait and watch): inline by default; with
-  // "stream":true a result larger than chunk_bytes is sliced into
-  // follow-up {"chunk":..} lines so one huge campaign snapshot cannot
-  // monopolise the line buffer of every proxy between us and the client.
-  std::string extra_lines;
+  // Result attachment (wait and watch), inline.
   if ((op == "wait" || op == "watch") && job->state() == JobState::kDone) {
     const std::string result = result_json_for(*job);
-    if (!result.empty()) {
-      const bool stream =
-          req.get("stream") ? req.get("stream")->as_bool(false) : false;
-      size_t chunk_bytes =
-          req.get("chunk_bytes")
-              ? static_cast<size_t>(
-                    std::max<int64_t>(256, req.get("chunk_bytes")->as_int(4096)))
-              : 4096;
-      if (stream && result.size() > chunk_bytes) {
-        const size_t n_chunks = (result.size() + chunk_bytes - 1) / chunk_bytes;
-        w.field("result_bytes", static_cast<uint64_t>(result.size()));
-        w.field("result_chunks", static_cast<uint64_t>(n_chunks));
-        for (size_t i = 0; i < n_chunks; ++i) {
-          JsonWriter cw;
-          cw.begin_object();
-          cw.field("chunk", static_cast<uint64_t>(i));
-          cw.field("of", static_cast<uint64_t>(n_chunks));
-          cw.field("data",
-                   result.substr(i * chunk_bytes,
-                                 std::min(chunk_bytes,
-                                          result.size() - i * chunk_bytes)));
-          cw.end_object();
-          extra_lines += '\n';
-          extra_lines += cw.str();
-        }
-      } else {
-        w.raw("result", result);
-      }
-    }
+    if (!result.empty()) w.raw("result", result);
   }
-  return envelope_finish(metrics_json_now(), w) + extra_lines;
+  return envelope_finish(metrics_json_now(), w);
 }
 
 int64_t envelope_retry_after_ms(const JsonValue& envelope) {
@@ -1088,38 +1056,10 @@ StatusOr<std::string> Client::call(const std::string& request_line) {
   return read_line();
 }
 
-StatusOr<JsonValue> Client::absorb_chunks(JsonValue envelope) {
-  const JsonValue* rc = envelope.get("result_chunks");
-  if (!rc || !rc->is_number() || rc->as_int() <= 0) return envelope;
-  const int64_t n_chunks = rc->as_int();
-  std::string data;
-  const JsonValue* rb = envelope.get("result_bytes");
-  if (rb && rb->is_number()) data.reserve(static_cast<size_t>(rb->as_int()));
-  for (int64_t i = 0; i < n_chunks; ++i) {
-    auto line = read_line();
-    if (!line.ok()) return line.status();
-    auto chunk = parse_json(*line);
-    if (!chunk.ok()) return chunk.status();
-    const JsonValue* d = chunk->get("data");
-    if (!d || !d->is_string())
-      return Status::DataLoss("chunk " + std::to_string(i) +
-                              " carries no 'data'");
-    data += d->str_v;
-  }
-  auto result = parse_json(data);
-  if (!result.ok())
-    return Status::DataLoss("reassembled result is not valid JSON: " +
-                            result.status().message());
-  envelope.members.emplace_back("result", std::move(*result));
-  return envelope;
-}
-
 StatusOr<JsonValue> Client::call_json(const std::string& request_line) {
   auto resp = call(request_line);
   if (!resp.ok()) return resp.status();
-  auto parsed = parse_json(*resp);
-  if (!parsed.ok()) return parsed.status();
-  return absorb_chunks(std::move(*parsed));
+  return parse_json(*resp);
 }
 
 StatusOr<JsonValue> Client::watch(
@@ -1146,8 +1086,7 @@ StatusOr<JsonValue> Client::watch(
       line = std::move(*next);
       continue;
     }
-    // Terminal (or error) envelope — possibly followed by result chunks.
-    return absorb_chunks(std::move(*parsed));
+    return parsed;  // the terminal (or error) envelope
   }
 }
 

@@ -4,8 +4,8 @@
 //
 // A Server fronts one Engine and speaks newline-delimited JSON
 // over a local AF_UNIX stream socket and/or a TCP listener: one request
-// object per line in, one response object per line out (watch and chunked
-// results push additional lines, below), connections are long-lived and
+// object per line in, one response object per line out (watch pushes
+// additional progress lines, below), connections are long-lived and
 // requests on a connection are handled in order.
 //
 // Wire protocol (all fields beyond "op" optional unless noted; every
@@ -25,8 +25,7 @@
 //    "densities":[F,...],"maps_per_density":N,"base_seed":N}
 //                                         -> {"job":ID,"state":..}
 //   {"op":"status","job":ID}                        -> state + progress
-//   {"op":"wait","job":ID,"timeout_ms":N
-//    [,"stream":true,"chunk_bytes":N]}              -> state [+ "result"]
+//   {"op":"wait","job":ID,"timeout_ms":N}          -> state [+ "result"]
 //   {"op":"watch","job":ID,"timeout_ms":N,"progress_ms":N}
 //                     -> zero or more {"ok":true,"event":"progress",...}
 //                        lines, then one wait-style {"event":"terminal"}
@@ -52,15 +51,11 @@
 // paper's largest §6.3 point) and a campaign whose point count
 // (densities x maps_per_density, flip_rates x seeds_per_rate) exceeds
 // 2^31-1, also with INVALID_ARGUMENT.  A job id in range that names no
-// job is NOT_FOUND.  timeout_ms, progress_ms and chunk_bytes are clamped
-// rather than rejected (negative timeouts act as 0).
+// job is NOT_FOUND.  timeout_ms and progress_ms are clamped rather than
+// rejected (negative timeouts act as 0).  Unknown fields are ignored.
 //
-// Chunked result streaming: a wait/watch with "stream":true splits a
-// result JSON larger than "chunk_bytes" out of the envelope — the
-// envelope then carries "result_bytes" and "result_chunks":K instead of
-// "result", followed by K lines {"chunk":i,"of":K,"data":STR} whose data
-// fields concatenate to the result document.  api::Client reassembles
-// transparently.
+// A finished job's result rides inline in the wait/watch envelope as
+// "result" (a few KB).
 //
 // Every response is an envelope:
 //
@@ -164,9 +159,8 @@ class Server {
   }
 
   /// Handle one request line and produce the response text (no socket
-  /// involved) — the seam tests drive directly.  Usually a single
-  /// envelope; a streamed result appends its chunk lines separated by
-  /// '\n'.  Watch degrades to wait here (no transport to push events on).
+  /// involved) — the seam tests drive directly: one envelope.  Watch
+  /// degrades to wait here (no transport to push events on).
   std::string handle_request_line(const std::string& line);
 
  private:
@@ -246,9 +240,9 @@ struct ClientOptions {
 
 /// Minimal blocking client for the gpurfd protocol: connects in the
 /// constructor (check status()), call() sends one request line and returns
-/// the raw response line, call_json() additionally parses it and
-/// reassembles chunked results.  A timed-out call() leaves the stream
-/// position unknown — reconnect rather than resending on the same Client.
+/// the raw response line, call_json() additionally parses it.  A
+/// timed-out call() leaves the stream position unknown — reconnect rather
+/// than resending on the same Client.
 class Client {
  public:
   /// AF_UNIX transport.
@@ -266,19 +260,17 @@ class Client {
 
   /// Send one request line, block for the one-line response (stripped of
   /// the trailing newline).  kUnavailable on timeout or a dropped
-  /// connection.  NOTE: a streamed ("stream":true) or watch request
-  /// pushes additional lines — use call_json() / watch() for those.
+  /// connection.  NOTE: a watch request pushes additional lines — use
+  /// watch() for it.
   StatusOr<std::string> call(const std::string& request_line);
 
-  /// call() + parse_json in one step; chunked results ("result_chunks")
-  /// are read off the stream, reassembled and spliced back in as
-  /// "result".
+  /// call() + parse_json in one step.
   StatusOr<JsonValue> call_json(const std::string& request_line);
 
   /// Push subscription on a job (ISSUE 8): sends {"op":"watch"} and
-  /// blocks until the terminal envelope arrives (or the server's watch
-  /// timeout elapses — the returned envelope then shows a non-terminal
-  /// state).  Every intermediate progress event is handed to
+  /// blocks until the terminal envelope arrives and returns it parsed (or
+  /// the server's watch timeout elapses — the returned envelope then shows
+  /// a non-terminal state).  Every intermediate progress event is handed to
   /// `on_progress` (may be null).  The ClientOptions token rides along
   /// automatically.
   StatusOr<JsonValue> watch(
@@ -288,7 +280,6 @@ class Client {
  private:
   void finish_connect(const std::string& what);
   StatusOr<std::string> read_line();
-  StatusOr<JsonValue> absorb_chunks(JsonValue envelope);
 
   int fd_ = -1;
   Status status_;

@@ -3,7 +3,7 @@
 //
 // The paper reduces its Catapult-C synthesis results to transistor
 // arithmetic; this header implements that arithmetic exactly so every
-// number in §6.4/§7 is regenerated by bench_area / bench_volta:
+// number in §6.4/§7 is regenerated by `gpurf-figures area` / `volta`:
 //
 //   TVE   = 8 muxes x 4 bits x 8 AOI cells x 6T + one 4-bit 2:1 mux (24T)
 //   WVE   = 32 TVEs  (~50K);   16 banks -> ~800K per SM

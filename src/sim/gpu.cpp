@@ -306,7 +306,7 @@ class SmCore {
   /// Live-bit exposure integral (PR 7): per cycle, every resident warp
   /// contributes (live payload bits at its current position) x (valid
   /// lanes).  Purely SM-private, position-driven, flip-independent — the
-  /// deterministic cross-section number bench_soft compares.
+  /// deterministic cross-section number `gpurf-figures soft` compares.
   void accumulate_exposure() {
     for (const WarpCtx& wc : warps_) {
       if (!wc.active || wc.block == kNoIndex) continue;
@@ -320,8 +320,8 @@ class SmCore {
           uint64_t(soft_model_->payload_bits(pos.blk, pos.inst)) * lanes;
       // Static upper bound over the identical warp-cycles: ever-live
       // payload is position-independent, so per row this integral
-      // dominates the dynamic one (live_before ⊆ ever_live) — the
-      // comparison bench_analysis/bench_soft report.
+      // dominates the dynamic one (live_before ⊆ ever_live), which the
+      // SoftSim tests check.
       stats_.soft_static_live_bit_cycles +=
           uint64_t(soft_model_->static_payload_bits()) * lanes;
     }

@@ -84,8 +84,8 @@ struct SoftErrorSpec {
   /// Accumulate the live-bit exposure integral even when the flip rate is
   /// zero.  A rate-0 run with this set executes identically to fault-free
   /// (no flips, no RNG draws) but reports SimStats::soft_live_bit_cycles —
-  /// the deterministic cross-section measurement bench_soft compares
-  /// between baseline and compressed.  Left false, rate-0 runs are
+  /// the deterministic cross-section measurement `gpurf-figures soft`
+  /// compares between baseline and compressed.  Left false, rate-0 runs are
   /// bit-identical to fault-free references in every SimStats field.
   bool track_exposure = false;
 

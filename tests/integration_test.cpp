@@ -27,7 +27,7 @@ TEST(Pipeline, Dwt2dEndToEnd) {
   const auto w = make_dwt2d();
   const auto& pr = tuned_pipeline(*w);
 
-  // Structural expectations (also covered by bench_fig9).
+  // Structural expectations (the DWT2D row of `gpurf-figures fig9`).
   EXPECT_EQ(pr.pressure.original, 38u);
   EXPECT_LT(pr.pressure.narrow_int, 25u);         // int framework dominates
   EXPECT_EQ(pr.pressure.narrow_float_perfect, 38u);  // floats don't matter

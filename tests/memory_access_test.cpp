@@ -204,16 +204,24 @@ TEST(MemoryAccess, WorkloadProofsGateShardedSimulation) {
   // DWT2D is fully proven (no waiver); every bundled workload must end up
   // shard-eligible one way or the other (proof or documented waiver) —
   // losing eligibility silently serialises simulation.
+  size_t sites = 0, proven = 0;
   for (const auto& w : wl::make_all_workloads()) {
     auto inst = w->make_instance(wl::Scale::kSample, 0);
     const auto proofs = w->mem_proofs(inst);
     EXPECT_TRUE(proofs->shard_ok) << w->spec().name;
+    sites += proofs->mem.accesses.size();
+    proven += proofs->proven_sites;
     if (w->spec().name == "DWT2D") {
       EXPECT_FALSE(w->spec().assume_disjoint);
       EXPECT_TRUE(proofs->mem.stores_disjoint);
       EXPECT_TRUE(proofs->mem.loads_local);
     }
   }
+  // Proof coverage floor over all workloads (116 of 135 sites): a solver
+  // regression, or a new workload with unproven accesses, fails here.
+  ASSERT_GT(sites, 0u);
+  EXPECT_GE(double(proven) / double(sites), 0.85)
+      << proven << " of " << sites << " memory sites proven";
 }
 
 // ------------------------------------------------------- Engine surfaces
@@ -237,12 +245,13 @@ TEST(MemoryAccess, EngineAnalyzeReportsMemSection) {
   EXPECT_TRUE(waived->disjoint_waived);
   EXPECT_TRUE(waived->loads_local);
 
-  // No bundled workload may carry a definite OOB: the lint gate's
-  // invariant, pinned here without the CLI.
+  // No bundled workload may carry a definite OOB or an undefined register
+  // read: the lint gate's invariants, pinned here without the CLI.
   for (const std::string& name : eng.workload_names()) {
     const auto r = eng.analyze(name);
     ASSERT_TRUE(r.ok()) << name;
     EXPECT_TRUE(r->oob_errors.empty()) << name;
+    EXPECT_TRUE(r->undefined_reads.empty()) << name;
   }
 }
 

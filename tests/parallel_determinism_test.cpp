@@ -4,8 +4,8 @@
 // that parallelism is an implementation detail: a multi-threaded pipeline
 // run must produce byte-identical precision maps, scores, and slice
 // allocations to a forced single-thread (GPURF_THREADS=1-equivalent) run.
-// These tests pin that contract in-process by resizing the shared pool and
-// varying the tuner batch width.
+// These tests pin that contract in-process by running under pools of
+// different widths (testing::PoolWidth) and varying the tuner batch width.
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,5 @@
 // Serving: latency histograms, the TCP transport, watch
-// subscriptions, chunked result streaming, auth tokens and per-token
-// quotas.
+// subscriptions, auth tokens and per-token quotas.
 
 #include <gtest/gtest.h>
 
@@ -86,28 +85,20 @@ TEST(ServeTcp, RoundTripMatchesUnixBitForBit) {
   ASSERT_TRUE(tcp_c.status().ok()) << tcp_c.status().to_string();
 
   // Same deterministic simulation through both transports; results must
-  // deep-compare equal (chunked on TCP to also cover reassembly).
-  auto submit_and_wait = [](api::Client& c, const std::string& req,
-                            bool stream) {
+  // deep-compare equal.
+  auto submit_and_wait = [](api::Client& c, const std::string& req) {
     auto sub = c.call_json(req);
     EXPECT_TRUE(sub.ok());
     const uint64_t id = static_cast<uint64_t>(sub->get("job")->as_int());
-    const std::string wait =
-        R"({"op":"wait","job":)" + std::to_string(id) +
-        R"(,"timeout_ms":600000)" +
-        (stream ? R"(,"stream":true,"chunk_bytes":300})" : "}");
-    return c.call_json(wait);
+    return c.call_json(R"({"op":"wait","job":)" + std::to_string(id) +
+                       R"(,"timeout_ms":600000})");
   };
-  auto via_unix = submit_and_wait(unix_c, submit_line("DWT2D"), false);
-  auto via_tcp = submit_and_wait(tcp_c, submit_line("DWT2D"), true);
+  auto via_unix = submit_and_wait(unix_c, submit_line("DWT2D"));
+  auto via_tcp = submit_and_wait(tcp_c, submit_line("DWT2D"));
   ASSERT_TRUE(via_unix.ok()) << via_unix.status().to_string();
   ASSERT_TRUE(via_tcp.ok()) << via_tcp.status().to_string();
   EXPECT_EQ(via_unix->get("state")->as_string(), "done");
   EXPECT_EQ(via_tcp->get("state")->as_string(), "done");
-  // The chunked envelope advertised its framing...
-  ASSERT_NE(via_tcp->get("result_chunks"), nullptr);
-  EXPECT_GT(via_tcp->get("result_chunks")->as_int(), 1);
-  // ...and the reassembled payload is identical to the inline one.
   ASSERT_NE(via_unix->get("result"), nullptr);
   ASSERT_NE(via_tcp->get("result"), nullptr);
   EXPECT_TRUE(api::deep_equal(*via_unix->get("result"),

@@ -208,6 +208,32 @@ TEST(SoftSim, ExposureTrackingDoesNotPerturbTheRun) {
   }
 }
 
+TEST(SoftSim, CompressedCrossSectionAtMostBaseline) {
+  // The vulnerable cross-section is live payload bits per cycle: narrowed
+  // formats store fewer live bits, so the compressed register file must
+  // not expose more than the baseline one.  DWT2D and Hotspot are the two
+  // workloads README quotes.
+  TempDir dir("gpurf_test_cache_softxs");
+  Engine engine(EngineOptions().with_threads(4).with_cache_dir(dir.path));
+  for (const char* name : {"DWT2D", "Hotspot"}) {
+    double bits[2] = {0.0, 0.0};
+    const wl::SimMode modes[2] = {wl::SimMode::kOriginal,
+                                  wl::SimMode::kCompressedPerfect};
+    for (int c = 0; c < 2; ++c) {
+      SimRequest req;
+      req.mode = modes[c];
+      req.scale = wl::Scale::kSample;
+      req.soft.track_exposure = true;
+      auto r = engine.simulate(name, req);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().to_string();
+      ASSERT_GT(r->stats.cycles, 0u) << name;
+      bits[c] = double(r->soft.live_bit_cycles) / double(r->stats.cycles);
+    }
+    EXPECT_GT(bits[1], 0.0) << name;
+    EXPECT_LE(bits[1], bits[0]) << name;
+  }
+}
+
 TEST(SoftSim, SameSeedSameTraceAndStatsAtShards124) {
   TempDir dir("gpurf_test_cache_softdet");
   Engine engine(EngineOptions().with_threads(4).with_cache_dir(dir.path));

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "alloc/slice_alloc.hpp"
 #include "analysis/range_analysis.hpp"
 #include "ir/verifier.hpp"
@@ -126,6 +128,30 @@ TEST(Workloads, AnalysisIsHeldByTheWorkloadAndSharedWithLaunchSpecs) {
   const PipelineResult pr;
   for (SimMode mode : {SimMode::kOriginal, SimMode::kCompressedHigh})
     EXPECT_EQ(make_launch_spec(*w, inst, pr, mode).analysis.get(), a);
+}
+
+TEST(Workloads, SoaReplayMatchesScalarOnEveryWorkload) {
+  // The warp-vectorised SoA interpreter must reproduce the per-lane scalar
+  // reference exactly: same output bits, same executed thread instructions.
+  for (const auto& w : make_all_workloads()) {
+    std::vector<float> out[2];
+    uint64_t insts[2] = {0, 0};
+    for (int soa = 0; soa < 2; ++soa) {
+      auto inst = w->make_instance(Scale::kSample, 0);
+      RunOptions opt;
+      opt.use_soa = soa == 1;
+      opt.thread_insts = &insts[soa];
+      out[soa] = w->run(inst, nullptr, nullptr, opt);
+    }
+    const std::string& name = w->spec().name;
+    ASSERT_EQ(out[0].size(), out[1].size()) << name;
+    EXPECT_EQ(std::memcmp(out[0].data(), out[1].data(),
+                          out[0].size() * sizeof(float)),
+              0)
+        << name;
+    EXPECT_EQ(insts[0], insts[1]) << name;
+    EXPECT_GT(insts[0], 0u) << name;
+  }
 }
 
 TEST(Workloads, ElevenKernelsInPaperOrder) {
