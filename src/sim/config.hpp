@@ -11,7 +11,11 @@ struct CacheGeom {
   uint32_t line_bytes = 128;
   uint32_t assoc = 4;
 
-  uint32_t num_sets() const { return size_bytes / (line_bytes * assoc); }
+  /// 0 for a degenerate geometry, which the Cache constructor rejects.
+  uint32_t num_sets() const {
+    const uint32_t set_bytes = line_bytes * assoc;
+    return set_bytes == 0 ? 0 : size_bytes / set_bytes;
+  }
 };
 
 struct GpuConfig {
@@ -47,6 +51,14 @@ struct GpuConfig {
 
   /// Safety bound for runaway simulations.
   uint64_t max_cycles = 80'000'000;
+
+  // What one simulated SM can hold; sim::validate_launch_spec rejects a
+  // config outside [1, max] in any of these, or without an SM.  Collector
+  // units are bits of 32-bit masks, and so are the per-bank pending
+  // fetches.
+  static constexpr uint32_t kMaxWarpSchedulers = 8;
+  static constexpr uint32_t kMaxCollectorUnits = 32;
+  static constexpr uint32_t kMaxRegisterBanks = 32;
 
   static GpuConfig fermi_gtx480() { return GpuConfig{}; }
 };

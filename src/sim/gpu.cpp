@@ -67,26 +67,35 @@ uint32_t latency_of(const GpuConfig& g, const ir::Instruction& in) {
   }
 }
 
-struct FetchReq {
-  uint8_t bank = 0;
-  bool served = false;
-};
+/// Most bank fetches one instruction needs: three source operands, each
+/// split across at most two physical registers.
+constexpr int kMaxFetches = 6;
 
+/// One collector unit.  Whether it is in use, and whether its operands are
+/// all collected, live in SmCore's CU bit masks.
 struct CuEntry {
-  bool valid = false;
   int warp = kNoIndex;
   exec::StepResult step;
   uint64_t active_from = 0;  ///< fetch requests visible from this cycle
-  uint64_t alloc_cycle = 0;  ///< age for arbitration
-  std::vector<FetchReq> fetches;
+  uint64_t alloc_cycle = 0;  ///< age for arbitration and dispatch
+  /// Banks of the fetches not yet served, unordered: two fetches to one
+  /// bank are interchangeable, so which of them is served first is not
+  /// observable.
+  std::array<uint8_t, kMaxFetches> pending_banks{};
+  uint8_t pending = 0;
   uint32_t conversions_left = 0;
-  bool ready_marked = false;
-  bool dispatch_tried = false;
 
-  bool fetches_done() const {
-    for (const auto& f : fetches)
-      if (!f.served) return false;
-    return true;
+  bool fetches_done() const { return pending == 0; }
+
+  /// Serve one pending fetch to `bank`; returns whether another fetch to
+  /// that bank is still pending.
+  bool serve(uint8_t bank) {
+    int f = 0;
+    while (pending_banks[f] != bank) ++f;
+    pending_banks[f] = pending_banks[--pending];
+    for (int i = 0; i < pending; ++i)
+      if (pending_banks[i] == bank) return true;
+    return false;
   }
 };
 
@@ -103,14 +112,21 @@ struct BlockCtx {
   uint32_t barrier_arrived = 0;
 };
 
+/// One warp slot of an SM.  The slot index is the warp's global id: it
+/// hashes operands to banks and picks the warp's scheduler
+/// (slot % warp_schedulers).
 struct WarpCtx {
   int block = kNoIndex;          ///< index into SmCore::blocks_
   uint32_t warp_in_block = 0;
-  uint32_t gwarp = 0;            ///< global id used for bank hashing
   bool at_barrier = false;
   bool active = false;
   std::vector<uint8_t> pending;  ///< scoreboard flags per register
-  uint64_t last_issued = 0;
+  /// The warp's next instruction (null once it is done).  Only step()
+  /// moves a warp's PC — soft flips write registers, never the PC — so
+  /// fill_blocks() and every issue refresh it.
+  const exec::DecodedInst* next = nullptr;
+  /// A register of `next` last seen pending (see scoreboard_clear).
+  uint32_t blocked_on = ir::kNoReg;
 };
 
 class BlockDispatcher {
@@ -157,7 +173,6 @@ class SmCore {
         cc_(cc),
         spec_(spec),
         ctx_(base_ctx),
-        occ_(occ),
         soft_model_(soft_model),
         l1_(g.l1),
         tex_(g.tex) {
@@ -165,14 +180,12 @@ class SmCore {
     cus_.resize(g.collector_units);
     const uint32_t wpb = spec.launch.warps_per_block();
     warps_.resize(size_t(occ.blocks_per_sm) * wpb);
-    for (uint32_t s = 0; s < occ.blocks_per_sm; ++s)
-      for (uint32_t w = 0; w < wpb; ++w) {
-        WarpCtx& wc = warps_[size_t(s) * wpb + w];
-        wc.gwarp = s * wpb + w;
-        wc.warp_in_block = w;
-        wc.pending.assign(spec.kernel->num_regs(), 0);
-      }
+    for (size_t slot = 0; slot < warps_.size(); ++slot) {
+      warps_[slot].warp_in_block = uint32_t(slot % wpb);
+      warps_[slot].pending.assign(spec.kernel->num_regs(), 0);
+    }
     blocks_.resize(occ.blocks_per_sm);
+    greedy_warp_.fill(kNoIndex);
   }
 
   bool idle() const {
@@ -286,6 +299,7 @@ class SmCore {
         wc.active = true;
         wc.at_barrier = false;
         std::fill(wc.pending.begin(), wc.pending.end(), 0);
+        wc.next = b.exec->peek_decoded(w);
       }
     }
   }
@@ -338,20 +352,27 @@ class SmCore {
   // ------------------------------------------------------------- dispatch
   void dispatch_ready(uint64_t now) {
     spu_used_ = 0;  // both SPUs accept one instruction per cycle
-    // Dispatch ready collector units, oldest first (selection sort over the
-    // small fixed-size CU array keeps this allocation-free).
-    for (;;) {
-      int c = kNoIndex;
-      for (int i = 0; i < int(cus_.size()); ++i)
-        if (cus_[i].valid && cus_[i].ready_marked && !cus_[i].dispatch_tried &&
-            (c == kNoIndex || cus_[i].alloc_cycle < cus_[c].alloc_cycle))
-          c = i;
-      if (c == kNoIndex) break;
-      cus_[c].dispatch_tried = true;
+    // Dispatch ready collector units oldest first: ordered by
+    // (alloc_cycle, index), so a tie goes to the lower index.  Bits come
+    // in index order and the insertion sort is stable.  Dispatching
+    // readies no other CU, so one sort serves the whole cycle.
+    std::array<int, GpuConfig::kMaxCollectorUnits> order;
+    int n = 0;
+    for (uint32_t m = cu_ready_; m; m &= m - 1) {
+      const int c = std::countr_zero(m);
+      int i = n++;
+      for (; i > 0 && cus_[order[i - 1]].alloc_cycle > cus_[c].alloc_cycle;
+           --i)
+        order[i] = order[i - 1];
+      order[i] = c;
+    }
+    for (int i = 0; i < n; ++i) {
+      const int c = order[i];
       CuEntry& cu = cus_[c];
       const ir::Instruction& in = *cu.step.inst;
       const UnitClass unit = in.info().unit;
       uint64_t done_at = 0;
+      // A CU whose unit is busy stays valid and ready for the next cycle.
       if (unit == UnitClass::LDST) {
         if (now < ldst_free_) continue;
         const MemAccess ma = memory_access(now, cu);
@@ -360,7 +381,7 @@ class SmCore {
           // L2-dependent latency: the writeback (if any) is scheduled by
           // commit_memory() at this cycle's barrier, once the buffered L2
           // probes have resolved hit/miss in SM-index order.
-          cu.valid = false;
+          release_cu(c);
           continue;
         }
         done_at = now + ma.latency;
@@ -378,127 +399,121 @@ class SmCore {
         const uint64_t wb_extra = cc_.enabled ? cc_.writeback_delay : 0;
         wb_.push(WriteBack{done_at + wb_extra, cu.warp, in.dst});
       }
-      cu.valid = false;
+      release_cu(c);
     }
-    for (auto& cu : cus_) cu.dispatch_tried = false;
+  }
+
+  void release_cu(int c) {
+    cu_valid_ &= ~(1u << c);
+    cu_ready_ &= ~(1u << c);
+  }
+
+  /// CUs that are collecting operands and whose fetches are visible now.
+  uint32_t collecting_cus(uint64_t now) const {
+    uint32_t mask = 0;
+    for (uint32_t m = cu_valid_ & ~cu_ready_; m; m &= m - 1) {
+      const int c = std::countr_zero(m);
+      if (cus_[c].active_from <= now) mask |= 1u << c;
+    }
+    return mask;
   }
 
   // ------------------------------------------------------- bank arbitration
   void arbitrate_banks(uint64_t now) {
-    // One read port per bank: serve the oldest pending request per bank.
-    for (int bank = 0; bank < int(g_.register_banks); ++bank) {
-      int best = kNoIndex;
-      int best_fetch = kNoIndex;
-      for (int c = 0; c < int(cus_.size()); ++c) {
-        CuEntry& cu = cus_[c];
-        if (!cu.valid || cu.ready_marked || cu.active_from > now) continue;
-        for (int f = 0; f < int(cu.fetches.size()); ++f) {
-          if (cu.fetches[f].served || cu.fetches[f].bank != bank) continue;
-          if (best == kNoIndex ||
-              cu.alloc_cycle < cus_[best].alloc_cycle) {
-            best = c;
-            best_fetch = f;
-          }
-          break;
-        }
+    const uint32_t eligible = collecting_cus(now);
+    if (!eligible) return;
+    // One read port per bank: serve the oldest CU with a pending fetch to
+    // the bank, the lower index on a tie.  Serving one bank changes no
+    // other bank's candidates, so the bank order does not matter.
+    for (uint32_t bank = 0; bank < g_.register_banks; ++bank) {
+      uint32_t m = bank_pending_[bank] & eligible;
+      if (!m) continue;
+      int best = std::countr_zero(m);
+      for (m &= m - 1; m; m &= m - 1) {
+        const int c = std::countr_zero(m);
+        if (cus_[c].alloc_cycle < cus_[best].alloc_cycle) best = c;
       }
-      if (best != kNoIndex) {
-        cus_[best].fetches[best_fetch].served = true;
-        ++stats_.operand_fetches;
-      }
+      if (!cus_[best].serve(uint8_t(bank)))
+        bank_pending_[bank] &= ~(1u << best);
+      ++stats_.operand_fetches;
     }
     // Mark CUs whose fetches completed and need no conversion.
-    for (auto& cu : cus_) {
-      if (cu.valid && !cu.ready_marked && cu.active_from <= now &&
-          cu.fetches_done() && cu.conversions_left == 0)
-        cu.ready_marked = true;
+    for (uint32_t m = eligible; m; m &= m - 1) {
+      const int c = std::countr_zero(m);
+      if (cus_[c].fetches_done() && cus_[c].conversions_left == 0)
+        cu_ready_ |= 1u << c;
     }
   }
 
   void run_converters(uint64_t now) {
     if (!cc_.enabled) return;
     uint32_t budget = cc_.conversions_per_cycle;
-    for (auto& cu : cus_) {
-      if (budget == 0) break;
-      if (!(cu.valid && !cu.ready_marked && cu.active_from <= now &&
-            cu.fetches_done() && cu.conversions_left > 0))
-        continue;
+    for (uint32_t m = collecting_cus(now); m && budget > 0; m &= m - 1) {
+      CuEntry& cu = cus_[std::countr_zero(m)];
+      if (!cu.fetches_done() || cu.conversions_left == 0) continue;
       const uint32_t take = std::min(budget, cu.conversions_left);
       cu.conversions_left -= take;
       budget -= take;
       stats_.conversions += take;
       // Converted operands become ready next cycle (one-cycle VC latency);
-      // leaving ready_marked false until the next arbitrate pass models it.
+      // leaving the ready bit clear until the next arbitrate pass models it.
     }
   }
 
   // ------------------------------------------------------------------ issue
   void issue(uint64_t now) {
-    for (uint32_t sched = 0; sched < g_.warp_schedulers; ++sched) {
-      bool issued = false;
+    const int nwarps = int(warps_.size());
+    const int nsched = int(g_.warp_schedulers);
+    for (int sched = 0; sched < nsched; ++sched) {
       bool saw_scoreboard = false, saw_no_cu = false, saw_barrier = false;
-      // GTO: greedily retry the last-issued warp first, then oldest
-      // (arrival order).  -1 sentinel visits the greedy candidate once.
-      int& greedy = greedy_warp_[sched];
-      for (int idx = -1; idx < int(warps_.size()); ++idx) {
-        int w = idx;
-        if (idx == -1) {
-          if (greedy < 0) continue;
-          w = greedy;
-        } else if (w == greedy) {
-          continue;  // already tried as the greedy candidate
-        }
+      // Try warp slot w; true when it issued.
+      const auto try_issue = [&](int w) {
         WarpCtx& wc = warps_[w];
-        if (!wc.active || (wc.gwarp % g_.warp_schedulers) != sched)
-          continue;
+        if (!wc.active) return false;
         if (wc.at_barrier) {
           saw_barrier = true;
-          continue;
+          return false;
         }
-        BlockCtx& blk = blocks_[wc.block];
-        // Predecoded view: the control classification comes from the shared
-        // decoded stream instead of being re-derived per issue attempt, and
-        // step() below executes the same instruction through the SoA warp
-        // kernels of the functional interpreter.
-        const exec::DecodedInst* dec = blk.exec->peek_decoded(wc.warp_in_block);
-        if (!dec) continue;
-        const ir::Instruction* in = dec->in;
-
-        if (!scoreboard_clear(wc, *in)) {
+        // The cached predecoded view classifies the instruction; step()
+        // below executes it through the SoA warp kernels of the
+        // functional interpreter.
+        const exec::DecodedInst* dec = wc.next;
+        if (!dec) return false;
+        if (!scoreboard_clear(wc)) {
           saw_scoreboard = true;
-          continue;
+          return false;
         }
-        const bool is_control = dec->is_control;
         int cu_slot = kNoIndex;
-        if (!is_control) {
-          for (int c = 0; c < int(cus_.size()); ++c)
-            if (!cus_[c].valid) {
-              cu_slot = c;
-              break;
-            }
-          if (cu_slot == kNoIndex) {
+        if (!dec->is_control) {
+          cu_slot = std::countr_zero(~cu_valid_);
+          if (cu_slot >= int(cus_.size())) {
             saw_no_cu = true;
-            continue;
+            return false;
           }
         }
 
         // Issue: functional execution happens now.
+        BlockCtx& blk = blocks_[wc.block];
         const exec::StepResult step = blk.exec->step(wc.warp_in_block);
+        wc.next = blk.exec->peek_decoded(wc.warp_in_block);
         ++stats_.warp_insts;
-        wc.last_issued = now;
-        greedy = wc.active ? w : kNoIndex;
-
-        if (is_control) {
+        greedy_warp_[sched] = w;
+        if (dec->is_control) {
           handle_control(w, step);
-          if (!wc.active || wc.at_barrier) greedy = kNoIndex;
+          if (!wc.active || wc.at_barrier) greedy_warp_[sched] = kNoIndex;
         } else {
           allocate_cu(now, w, cu_slot, step);
         }
-        issued = true;
-        break;
-      }
-      if (!issued) greedy = kNoIndex;
+        return true;
+      };
+      // GTO: greedily retry the last-issued warp first, then this
+      // scheduler's slots (sched, sched + nsched, ...) in arrival order.
+      const int greedy = greedy_warp_[sched];
+      bool issued = greedy != kNoIndex && try_issue(greedy);
+      for (int w = sched; !issued && w < nwarps; w += nsched)
+        if (w != greedy) issued = try_issue(w);
       if (!issued) {
+        greedy_warp_[sched] = kNoIndex;
         if (saw_scoreboard) ++stats_.stall_scoreboard;
         else if (saw_no_cu) ++stats_.stall_no_cu;
         else if (saw_barrier) ++stats_.stall_barrier;
@@ -507,21 +522,24 @@ class SmCore {
     }
   }
 
-  bool scoreboard_clear(const WarpCtx& wc, const ir::Instruction& in) const {
-    bool ok = true;
-    analysis_for_each_reg(in, [&](uint32_t r) {
-      if (wc.pending[r]) ok = false;
-    });
-    return ok;
-  }
-
-  /// All registers an instruction touches (sources, guard, destination).
-  template <typename Fn>
-  static void analysis_for_each_reg(const ir::Instruction& in, Fn&& fn) {
+  /// Scoreboard: false while a register the warp's next instruction
+  /// touches (sources, guard, destination) awaits writeback.  The register
+  /// found pending is kept in `blocked_on`, so later cycles test that one
+  /// flag until its writeback lands.
+  static bool scoreboard_clear(WarpCtx& wc) {
+    if (wc.blocked_on != ir::kNoReg && wc.pending[wc.blocked_on]) return false;
+    const ir::Instruction& in = *wc.next->in;
+    const auto pending = [&](uint32_t r) {
+      if (!wc.pending[r]) return false;
+      wc.blocked_on = r;
+      return true;
+    };
     for (int i = 0; i < in.num_srcs; ++i)
-      if (in.srcs[i].is_reg()) fn(in.srcs[i].index);
-    if (in.guard != ir::kNoReg) fn(in.guard);
-    if (in.info().has_dst) fn(in.dst);
+      if (in.srcs[i].is_reg() && pending(in.srcs[i].index)) return false;
+    if (in.guard != ir::kNoReg && pending(in.guard)) return false;
+    if (wc.next->has_dst && pending(in.dst)) return false;
+    wc.blocked_on = ir::kNoReg;
+    return true;
   }
 
   void handle_control(int w, const exec::StepResult& step) {
@@ -551,13 +569,19 @@ class SmCore {
     WarpCtx& wc = warps_[w];
     const ir::Instruction& in = *step.inst;
     CuEntry& cu = cus_[cu_slot];
-    cu = CuEntry{};
-    cu.valid = true;
     cu.warp = w;
     cu.step = step;
     cu.alloc_cycle = now;
     cu.active_from =
         now + 1 + (cc_.enabled ? cc_.indirection_read_cycles : 0);
+    cu.pending = 0;
+    cu.conversions_left = 0;
+    cu_valid_ |= 1u << cu_slot;
+    const auto fetch = [&](uint32_t phys) {
+      const uint8_t bank = uint8_t((phys + uint32_t(w)) % g_.register_banks);
+      cu.pending_banks[cu.pending++] = bank;
+      bank_pending_[bank] |= 1u << cu_slot;
+    };
 
     // Distinct register source operands -> bank fetch requests.
     uint32_t seen[3];
@@ -577,15 +601,9 @@ class SmCore {
       if (cc_.enabled && spec_.allocation) {
         const auto& e = spec_.allocation->table[r];
         GPURF_ASSERT(e.valid, "operand without allocation");
-        cu.fetches.push_back(FetchReq{
-            static_cast<uint8_t>((e.r0.phys_reg + wc.gwarp) %
-                                 g_.register_banks),
-            false});
+        fetch(e.r0.phys_reg);
         if (e.split) {
-          cu.fetches.push_back(FetchReq{
-              static_cast<uint8_t>((e.r1.phys_reg + wc.gwarp) %
-                                   g_.register_banks),
-              false});
+          fetch(e.r1.phys_reg);
           ++stats_.double_fetches;
         }
         if (e.is_float && e.float_bits != 32 && !e.spilled)
@@ -599,9 +617,7 @@ class SmCore {
           fault_penalty = true;
         }
       } else {
-        cu.fetches.push_back(FetchReq{
-            static_cast<uint8_t>((r + wc.gwarp) % g_.register_banks),
-            false});
+        fetch(r);
       }
     }
 
@@ -641,19 +657,29 @@ class SmCore {
     const ir::Instruction& in = *cu.step.inst;
     const uint32_t mask = cu.step.active_mask;
 
+    // Distinct values of f(lane) over the active lanes, in lane order.
+    struct Distinct {
+      std::array<uint64_t, exec::kWarpSize> v;
+      uint32_t n = 0;
+      void add(uint64_t x) {
+        if (std::find(v.begin(), v.begin() + n, x) == v.begin() + n)
+          v[n++] = x;
+      }
+    };
+    const auto distinct = [&](auto f) {
+      Distinct d;
+      for (uint32_t m = mask; m; m &= m - 1) d.add(f(std::countr_zero(m)));
+      return d;
+    };
+
     if (in.op == Opcode::LD_SHARED || in.op == Opcode::ST_SHARED) {
       // 32 word-interleaved banks; conflict degree = max distinct words
       // mapped to one bank.
-      std::array<std::vector<uint32_t>, 32> per_bank;
-      for (int l = 0; l < 32; ++l) {
-        if (!((mask >> l) & 1u)) continue;
-        const uint32_t a = cu.step.addr[l];
-        auto& v = per_bank[a % 32];
-        if (std::find(v.begin(), v.end(), a) == v.end()) v.push_back(a);
-      }
+      const Distinct words = distinct([&](int l) { return cu.step.addr[l]; });
+      std::array<uint32_t, 32> per_bank{};
       uint32_t degree = 1;
-      for (const auto& v : per_bank)
-        degree = std::max<uint32_t>(degree, uint32_t(v.size()));
+      for (uint32_t i = 0; i < words.n; ++i)
+        degree = std::max(degree, ++per_bank[words.v[i] % 32]);
       return {degree, g_.lat_shared + (degree - 1), false};
     }
 
@@ -666,20 +692,15 @@ class SmCore {
     }
 
     if (in.op == Opcode::TEX2D) {
-      std::vector<uint64_t> lines;
-      for (int l = 0; l < 32; ++l) {
-        if (!((mask >> l) & 1u)) continue;
-        const uint64_t line =
-            (uint64_t(in.tex) << 40) | (cu.step.addr[l] / 32);
-        if (std::find(lines.begin(), lines.end(), line) == lines.end())
-          lines.push_back(line);
-      }
-      for (uint64_t line : lines) {
-        if (tex_.access(line)) continue;
+      const Distinct lines = distinct([&](int l) {
+        return (uint64_t(in.tex) << 40) | (cu.step.addr[l] / 32);
+      });
+      for (uint32_t i = 0; i < lines.n; ++i) {
+        if (tex_.access(lines.v[i])) continue;
         // Texture miss: L2, then DRAM.  Tag texture space into L2.
-        l2_lines_.push_back(line | (uint64_t(1) << 60));
+        l2_lines_.push_back(lines.v[i] | (uint64_t(1) << 60));
       }
-      const uint32_t n = std::max<uint32_t>(1, uint32_t(lines.size()));
+      const uint32_t n = std::max<uint32_t>(1, lines.n);
       p.base_latency = g_.lat_tex_hit;
       p.extra = n - 1;
       p.line_end = l2_lines_.size();
@@ -688,24 +709,15 @@ class SmCore {
     }
 
     // Global loads/stores: coalesce into 128-byte (32-word) lines.
-    std::vector<uint64_t> lines;
-    for (int l = 0; l < 32; ++l) {
-      if (!((mask >> l) & 1u)) continue;
-      const uint64_t line = cu.step.addr[l] / 32;
-      if (std::find(lines.begin(), lines.end(), line) == lines.end())
-        lines.push_back(line);
-    }
+    const Distinct lines =
+        distinct([&](int l) { return uint64_t(cu.step.addr[l] / 32); });
     const bool is_store = in.op == Opcode::ST_GLOBAL;
-    for (uint64_t line : lines) {
-      if (is_store) {
-        // Write-evict L1 (Fermi global stores): go straight to L2.
-        l2_lines_.push_back(line);
-        continue;
-      }
-      if (l1_.access(line)) continue;
-      l2_lines_.push_back(line);
+    for (uint32_t i = 0; i < lines.n; ++i) {
+      // Write-evict L1 (Fermi global stores): stores go straight to L2.
+      if (!is_store && l1_.access(lines.v[i])) continue;
+      l2_lines_.push_back(lines.v[i]);
     }
-    const uint32_t n = std::max<uint32_t>(1, uint32_t(lines.size()));
+    const uint32_t n = std::max<uint32_t>(1, lines.n);
     p.base_latency = g_.lat_l1_hit;
     p.extra = n - 1;
     p.line_end = l2_lines_.size();
@@ -717,7 +729,6 @@ class SmCore {
   const CompressionConfig& cc_;
   const KernelLaunchSpec& spec_;
   exec::ExecContext ctx_;  ///< SM-private copy (thread_insts, analysis)
-  const Occupancy& occ_;
   const SoftErrorModel* soft_model_;  ///< null = no soft-error tracking
 
   Cache l1_;
@@ -731,20 +742,26 @@ class SmCore {
   std::vector<BlockCtx> blocks_;
   std::vector<WarpCtx> warps_;
   std::vector<CuEntry> cus_;
+  // Collector-unit state kept as it changes, one bit per CU (bit c is
+  // cus_[c]): allocate_cu() sets a CU's valid bit and its banks' pending
+  // bits, arbitrate_banks() clears a bank's bit when it serves the CU's
+  // last fetch to that bank and sets the ready bit once every operand is
+  // in, and dispatch clears both of the CU's bits.
+  uint32_t cu_valid_ = 0;  ///< holds an instruction
+  uint32_t cu_ready_ = 0;  ///< operands collected, waiting for its unit
+  std::array<uint32_t, GpuConfig::kMaxRegisterBanks> bank_pending_{};
   std::priority_queue<WriteBack, std::vector<WriteBack>,
                       std::greater<WriteBack>>
       wb_;
   uint64_t ldst_free_ = 0;
   uint64_t sfu_free_ = 0;
   uint32_t spu_used_ = 0;
-  std::array<int, 8> greedy_warp_{kNoIndex, kNoIndex, kNoIndex, kNoIndex,
-                                  kNoIndex, kNoIndex, kNoIndex, kNoIndex};
+  std::array<int, GpuConfig::kMaxWarpSchedulers> greedy_warp_;
 };
 
 }  // namespace
 
-void validate_launch_spec(const CompressionConfig& comp,
-                          const KernelLaunchSpec& spec) {
+void validate_launch_spec(const GpuConfig& gpu, const KernelLaunchSpec& spec) {
   GPURF_CHECK(spec.kernel && spec.gmem, "incomplete launch spec");
   GPURF_CHECK(spec.regs_per_thread > 0, "regs_per_thread must be set");
   // Zero *blocks* is a legal degenerate launch (simulates in zero
@@ -752,18 +769,25 @@ void validate_launch_spec(const CompressionConfig& comp,
   GPURF_CHECK(spec.launch.threads_per_block() > 0,
               "launch '" << spec.kernel->name
                          << "' has an empty block shape");
-  // Note: comp.enabled without an allocation is legal — the compressed
-  // pipeline overheads (conversion, writeback delay) apply even when every
-  // operand still maps 1:1 (sim_test pins this); the allocation only adds
-  // indirection-table traffic and split-operand double fetches.
-  (void)comp;
+  GPURF_CHECK(gpu.num_sms >= 1, "GpuConfig::num_sms = 0: no SM to run on");
+  const auto check_range = [](const char* field, uint32_t v, uint32_t max) {
+    GPURF_CHECK(v >= 1 && v <= max, "GpuConfig::" << field << " = " << v
+                                                  << " is outside [1, "
+                                                  << max << "]");
+  };
+  check_range("warp_schedulers", gpu.warp_schedulers,
+              GpuConfig::kMaxWarpSchedulers);
+  check_range("collector_units", gpu.collector_units,
+              GpuConfig::kMaxCollectorUnits);
+  check_range("register_banks", gpu.register_banks,
+              GpuConfig::kMaxRegisterBanks);
 }
 
 SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
                    const KernelLaunchSpec& spec,
                    gpurf::common::CancelToken* cancel,
                    const SimOptions& opt) {
-  validate_launch_spec(comp, spec);
+  validate_launch_spec(gpu, spec);
 
   SimResult res;
   res.occupancy = compute_occupancy(gpu, spec.regs_per_thread,

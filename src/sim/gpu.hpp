@@ -197,19 +197,18 @@ struct SimOptions {
   int shards = 1;
 };
 
-/// Validate a launch spec before committing simulator resources.  Bad
-/// input (missing kernel/memory, unset register pressure, a block shape
-/// with zero threads) raises gpurf::Error via GPURF_CHECK — recoverable
-/// at the Engine boundary, which converts it to a Status instead of
-/// terminating.  An *empty grid* (zero blocks) is legal: it is a
-/// degenerate launch that simulates in exactly zero cycles (ISSUE 5 fixed
-/// the drain-tick off-by-one that used to charge one cycle for it).  Note
-/// that compressed mode (comp.enabled) without a slice allocation is
-/// legal: the conversion/writeback overheads apply even when every
-/// operand still maps 1:1 (`comp` is taken for future mode-dependent
-/// checks).
-void validate_launch_spec(const CompressionConfig& comp,
-                          const KernelLaunchSpec& spec);
+/// Validate a launch and the GPU it runs on before committing simulator
+/// resources.  Bad input (missing kernel/memory, unset register pressure,
+/// a block shape with zero threads, a GpuConfig without an SM, or one
+/// whose warp_schedulers, collector_units or register_banks lies outside
+/// [1, GpuConfig::kMax*]) raises gpurf::Error naming the field via
+/// GPURF_CHECK — recoverable at the Engine boundary, which converts it to
+/// a Status instead of terminating.  An *empty grid* (zero blocks) is
+/// legal: it is a degenerate launch that simulates in exactly zero
+/// cycles, with no drain tick charged for it.  Compressed mode without a
+/// slice allocation is legal too: the conversion/writeback overheads
+/// apply even when every operand still maps 1:1 (sim_test pins this).
+void validate_launch_spec(const GpuConfig& gpu, const KernelLaunchSpec& spec);
 
 /// Run one kernel launch to completion.  Calls validate_launch_spec first.
 /// `cancel` (nullable) is the cooperative stop/progress channel: the

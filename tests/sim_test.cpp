@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "alloc/slice_alloc.hpp"
 #include "analysis/range_analysis.hpp"
+#include "api/engine.hpp"
 #include "ir/parser.hpp"
 #include "sim/cache.hpp"
 #include "sim/gpu.hpp"
@@ -501,6 +505,103 @@ TEST(Simulate, RejectsOversizedKernel) {
   EXPECT_THROW(simulate(GpuConfig::fermi_gtx480(),
                         CompressionConfig::baseline(), rig.spec),
                gpurf::Error);
+}
+
+// ------------------------------------------------------ GpuConfig bounds
+//
+// The SM keeps GTO state for at most kMaxWarpSchedulers schedulers and
+// one mask bit per collector unit; zero schedulers or collector units
+// would spin to max_cycles without issuing, and zero banks would divide
+// by zero.  Each such config is rejected naming the field and its bound.
+
+struct GpuField {
+  const char* name;
+  uint32_t GpuConfig::*field;
+  uint32_t value;
+};
+
+constexpr GpuField kUnholdable[] = {
+    {"warp_schedulers", &GpuConfig::warp_schedulers, 0},
+    {"warp_schedulers", &GpuConfig::warp_schedulers,
+     GpuConfig::kMaxWarpSchedulers + 1},
+    {"collector_units", &GpuConfig::collector_units, 0},
+    {"collector_units", &GpuConfig::collector_units,
+     GpuConfig::kMaxCollectorUnits + 1},
+    {"register_banks", &GpuConfig::register_banks, 0},
+    {"register_banks", &GpuConfig::register_banks,
+     GpuConfig::kMaxRegisterBanks + 1},
+};
+
+GpuConfig gpu_with(const GpuField& f) {
+  GpuConfig g = GpuConfig::fermi_gtx480();
+  g.*f.field = f.value;
+  return g;
+}
+
+/// simulate() on `g` must raise a gpurf::Error whose message holds `want`.
+void expect_rejected(const GpuConfig& g, const std::string& want) {
+  SimRig rig(kRetOnly, LaunchConfig{1, 1, 32, 1});
+  rig.spec.regs_per_thread = 4;
+  try {
+    simulate(g, CompressionConfig::baseline(), rig.spec);
+    ADD_FAILURE() << want << ": accepted";
+  } catch (const gpurf::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Simulate, RejectsGpuConfigTheSmCannotHold) {
+  for (const GpuField& f : kUnholdable)
+    expect_rejected(gpu_with(f), std::string(f.name) + " = " +
+                                     std::to_string(f.value) +
+                                     " is outside [1, ");
+  // Unchecked, zero SMs spin to max_cycles and a zero-way cache divides
+  // by zero.
+  GpuConfig no_sms = GpuConfig::fermi_gtx480();
+  no_sms.num_sms = 0;
+  expect_rejected(no_sms, "num_sms");
+  GpuConfig no_ways = GpuConfig::fermi_gtx480();
+  no_ways.l1.assoc = 0;
+  expect_rejected(no_ways, "at least one set");
+}
+
+TEST(Simulate, LargestHoldableGpuConfigRuns) {
+  GpuConfig g = GpuConfig::fermi_gtx480();
+  g.warp_schedulers = GpuConfig::kMaxWarpSchedulers;
+  g.collector_units = GpuConfig::kMaxCollectorUnits;
+  g.register_banks = GpuConfig::kMaxRegisterBanks;
+  const uint32_t n = 128 * 30;
+  SimRig rig(kAxpy, LaunchConfig{30, 1, 128, 1});
+  std::vector<float> x(n, 1.5f), y(n, 0.25f);
+  const uint32_t xb = rig.gmem.alloc_f32(x);
+  const uint32_t yb = rig.gmem.alloc_f32(y);
+  rig.spec.params = {xb, yb, n};
+  rig.spec.regs_per_thread = 8;
+  const auto res = simulate(g, CompressionConfig::baseline(), rig.spec);
+  EXPECT_EQ(res.stats.blocks_run, 30u);
+  for (uint32_t i = 0; i < n; ++i)
+    EXPECT_EQ(rig.gmem.read_f32(yb + i, 1)[0], 1.5f * 2.0f + 0.25f);
+}
+
+TEST(Simulate, EngineReportsUnholdableGpuConfigAsStatus) {
+  // The same rejection reaches an Engine user as a non-OK Status.  One
+  // cache directory serves every Engine, so DWT2D tunes once.
+  const std::string cache = "gpurf_sim_test_cache";
+  std::filesystem::remove_all(cache);
+  for (const GpuField& f : kUnholdable) {
+    gpurf::Engine engine(gpurf::EngineOptions()
+                           .with_threads(2)
+                           .with_cache_dir(cache)
+                           .with_gpu(gpu_with(f)));
+    const auto res =
+        engine.simulate("DWT2D", gpurf::workloads::SimMode::kOriginal);
+    ASSERT_FALSE(res.ok()) << f.name << " = " << f.value;
+    EXPECT_EQ(res.status().code(), gpurf::StatusCode::kFailedPrecondition);
+    EXPECT_NE(res.status().message().find(f.name), std::string::npos)
+        << res.status().message();
+  }
+  std::filesystem::remove_all(cache);
 }
 
 }  // namespace
