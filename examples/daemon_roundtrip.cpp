@@ -21,11 +21,12 @@
 //       Talks to an already-running `gpurfd --listen HOST:PORT`.
 //
 // The run submits one pipeline job (priority 1) and one sample-scale
-// simulate job for the same workload, waits for both, and then checks —
+// simulate job for the same workload, waits for both, then runs a
+// sample-scale fault campaign (one density, two maps) and checks —
 // exiting non-zero on any violation — that every response parses as JSON,
-// that both jobs reached state "done", and that the metrics embedded in
-// the final envelope show non-zero activity (jobs_done, pipeline memo
-// traffic, per-job wall time).
+// that all three jobs reached state "done" and both campaign points did
+// too, and that the metrics embedded in the final envelope show non-zero
+// activity (jobs_done, pipeline memo traffic, per-job wall time).
 
 #include <cstdio>
 #include <cstdlib>
@@ -183,6 +184,30 @@ int main(int argc, char** argv) {
   std::printf("pipeline done; simulate done (IPC %.1f)\n",
               ipc ? ipc->as_double() : -1.0);
 
+  // A fault campaign runs its points on the daemon's executor workers.
+  const uint64_t camp_id = job_id_of(must_call(
+      client,
+      R"({"op":"submit","kind":"fault_campaign","workload":"DWT2D",)"
+      R"("scale":"sample","densities":[0.01],"maps_per_density":2})"));
+  const auto wait_camp = must_call(
+      client, R"({"op":"wait","job":)" + std::to_string(camp_id) +
+                  R"(,"timeout_ms":600000})");
+  const api::JsonValue* points =
+      wait_camp.get("result") ? wait_camp.get("result")->get("points")
+                              : nullptr;
+  int points_done = 0;
+  if (points && points->is_array())
+    for (const api::JsonValue& pt : points->items)
+      if (pt.get("state") && pt.get("state")->as_string() == "done")
+        ++points_done;
+  if (state_of(wait_camp) != "done" || !points || points->items.size() != 2 ||
+      points_done != 2) {
+    std::fprintf(stderr, "FAIL: campaign %s with %d of 2 points done\n",
+                 state_of(wait_camp).c_str(), points_done);
+    return 1;
+  }
+  std::printf("fault campaign done (2 points)\n");
+
   // Metrics checks: every envelope embeds them; use a dedicated call for
   // the final assertion.
   const auto metrics_resp = must_call(client, R"({"op":"metrics"})");
@@ -195,8 +220,8 @@ int main(int argc, char** argv) {
     const api::JsonValue* v = m->get(name);
     return v ? v->as_double() : -1.0;
   };
-  if (counter("jobs_done") < 2) {
-    std::fprintf(stderr, "FAIL: jobs_done = %g, expected >= 2\n",
+  if (counter("jobs_done") < 3) {
+    std::fprintf(stderr, "FAIL: jobs_done = %g, expected >= 3\n",
                  counter("jobs_done"));
     return 1;
   }

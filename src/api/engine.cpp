@@ -45,20 +45,79 @@ Status check_sim_request(const SimRequest& req) {
                                  " cycles");
 }
 
+/// A campaign's points in index order: point i sweeps axis value i / per
+/// (a fault density or a flip rate) with the i-th draw of a splitmix64
+/// stream off the base seed, so a campaign reruns the exact same fault
+/// maps / flip traces on every schedule.
+struct Sweep {
+  const std::vector<double>& axis;
+  uint64_t per;
+  uint64_t base_seed;
+
+  explicit Sweep(const JobRequest& r)
+      : axis(r.kind == JobKind::kFaultCampaign ? r.campaign.densities
+                                               : r.transient.flip_rates),
+        per(uint64_t(std::max(1, r.kind == JobKind::kFaultCampaign
+                                     ? r.campaign.maps_per_density
+                                     : r.transient.seeds_per_rate))),
+        base_seed(r.kind == JobKind::kFaultCampaign ? r.campaign.base_seed
+                                                    : r.transient.base_seed) {}
+
+  uint64_t points() const { return axis.size() * per; }
+  double value(uint64_t i) const { return axis[i / per]; }
+  uint64_t seed(uint64_t i) const {
+    uint64_t state = base_seed + i * 0x9e3779b97f4a7c15ULL;  // before draw i
+    return splitmix64(state);
+  }
+};
+
+std::string campaign_name(const JobRequest& r) {
+  return (r.kind == JobKind::kFaultCampaign ? "fault campaign '"
+                                            : "transient campaign '") +
+         r.workload + "'";
+}
+
 /// The request checks that need no workload; a campaign's point count
 /// must also fit the int progress counters.
 Status check_job_request(const JobRequest& req) {
   if (!job_kind_campaign(req.kind)) return check_sim_request(req.sim);
   const bool fault = req.kind == JobKind::kFaultCampaign;
-  const uint64_t axis = fault ? req.campaign.densities.size()
-                              : req.transient.flip_rates.size();
-  const uint64_t points =
-      axis * uint64_t(std::max(1, fault ? req.campaign.maps_per_density
-                                        : req.transient.seeds_per_rate));
+  const uint64_t points = Sweep(req).points();
   if (points > uint64_t(std::numeric_limits<int>::max()))
     return Status::InvalidArgument("campaign of " + std::to_string(points) +
                                    " points overflows int");
   return check_sim_request(fault ? req.campaign.sim : req.transient.sim);
+}
+
+/// The campaign checks beyond check_job_request.  Faults live in the
+/// compressed register file; any mode suits a transient campaign.
+Status check_campaign(const JobRequest& req) {
+  const bool fault = req.kind == JobKind::kFaultCampaign;
+  if (fault && req.campaign.sim.mode == workloads::SimMode::kOriginal)
+    return Status::InvalidArgument(
+        campaign_name(req) + " requires a compressed mode (perfect|high)");
+  if (Sweep(req).axis.empty())
+    return Status::InvalidArgument(
+        campaign_name(req) +
+        (fault ? " has no density points" : " has no flip-rate points"));
+  return Status::Ok();
+}
+
+/// Point i's simulation: the campaign's template with its fault map or
+/// flip process stamped on.
+SimRequest point_request(const JobRequest& r, uint64_t i) {
+  const Sweep sweep(r);
+  if (r.kind == JobKind::kTransientCampaign) {
+    SimRequest sr = r.transient.sim;
+    sr.soft.flips_per_mcycle = sweep.value(i);
+    sr.soft.seed = sweep.seed(i);
+    return sr;
+  }
+  SimRequest sr = r.campaign.sim;
+  // Early stopping needs every point scored, whatever the template said.
+  sr.fault = {sweep.seed(i), sweep.value(i),
+              sr.fault.score_quality || r.campaign.quality_floor > 0.0};
+  return sr;
 }
 
 /// Map a cooperative stop to the Status the serving layer reports.
@@ -84,80 +143,82 @@ uint64_t wall_us_since(detail::JobImpl::Clock::time_point start) {
           .count());
 }
 
-/// Copy a finished child's outcome into its campaign point.
-template <class Point>
-void fill_point(Point& pt, const Job& child,
-                const StatusOr<sim::SimResult>& r) {
-  pt.state = child.state();
-  if (r.ok()) {
-    pt.cycles = r->stats.cycles;
-    pt.ipc = r->stats.ipc();
+/// Write point i's outcome into a campaign result, growing the point
+/// list to hold it (points not finished yet read kQueued).
+template <class Result>
+auto& record_point(std::optional<Result>& res, const JobRequest& r,
+                   uint64_t i, const StatusOr<sim::SimResult>& sr) {
+  if (!res) res.emplace().workload = r.workload;
+  if (res->points.size() <= i) {
+    typename decltype(res->points)::value_type pending;
+    pending.state = JobState::kQueued;
+    res->points.resize(i + 1, pending);
+  }
+  auto& pt = res->points[i];
+  pt.seed = Sweep(r).seed(i);
+  pt.state = terminal_state_for(sr.status());
+  if (sr.ok()) {
+    pt.cycles = sr->stats.cycles;
+    pt.ipc = sr->stats.ipc();
   } else {
-    pt.error = r.status().to_string();
+    pt.error = sr.status().to_string();
+  }
+  return pt;
+}
+
+/// Record point i of a fault campaign and advance its quality floor.  The
+/// floor is decided for a density once it and every earlier density are
+/// complete, in index order, so a truncated sweep reads the same on
+/// every schedule.
+void record_fault_point(detail::JobImpl& job, uint64_t i,
+                        const StatusOr<sim::SimResult>& r) {
+  const Sweep sweep(job.req);
+  FaultCampaignPoint& pt = record_point(job.campaign_result, job.req, i, r);
+  pt.density = sweep.value(i);
+  if (r.ok()) pt.fault = r->fault;
+  const double floor = job.req.campaign.quality_floor;
+  FaultCampaignResult& res = *job.campaign_result;
+  uint64_t& prefix = job.points_prefix;
+  while (floor > 0.0 && !res.truncated && prefix < res.points.size() &&
+         res.points[prefix].state != JobState::kQueued) {
+    ++prefix;
+    if (prefix % sweep.per != 0) continue;  // density not complete yet
+    double delta_sum = 0.0;
+    int delta_n = 0;
+    for (uint64_t j = prefix - sweep.per; j < prefix; ++j)
+      if (res.points[j].error.empty() && res.points[j].fault.quality_scored) {
+        delta_sum += res.points[j].fault.quality_delta;
+        ++delta_n;
+      }
+    res.truncated = delta_n > 0 && delta_sum / delta_n > floor;
+    if (res.truncated) res.truncated_at_density = sweep.value(prefix - 1);
   }
 }
 
-/// The sweep both campaign kinds share: one child simulate job per (axis
-/// value, repeat), each the template with its point stamped on by
-/// `stamp(sr, x, seed)` — a fault map (density, seed) or a flip process
-/// (rate, seed) — which also appends the point's result slot.  Seeds are
-/// a deterministic splitmix64 stream off `seed`, so a campaign reruns the
-/// exact same maps / flip traces; children inherit the parent's priority
-/// and the remainder of its deadline.  Children are collected in
-/// submission order, polling the parent token so a campaign cancel
-/// reaches every child at the next slice; `record(i, child, result)`
-/// fills point i and returns true to cancel every later child.  On a stop
-/// every child is cancelled and awaited before the status is returned,
-/// so a campaign never leaves orphan work running.
-template <class Stamp, class Record>
-Status run_sweep(Engine& engine, detail::JobImpl& job,
-                 const std::string& what, const std::vector<double>& axis,
-                 int repeats, uint64_t seed, const SimRequest& tmpl,
-                 Stamp stamp, Record record) {
-  const int per = std::max(1, repeats);
-  job.token.campaign_maps_total.store(static_cast<int>(axis.size()) * per,
-                                      std::memory_order_relaxed);
-  job.token.set_stage(common::JobStage::kSimulating);
-  std::vector<Job> children;
-  Status st;
-  try {
-    for (double x : axis) {
-      for (int m = 0; m < per; ++m) {
-        job.token.checkpoint();  // stop submitting once cancelled
-        SimRequest sr = tmpl;
-        stamp(sr, x, splitmix64(seed));
-        JobRequest child = JobRequest::simulate(job.req.workload, sr)
-                               .with_priority(job.req.priority);
-        if (job.token.has_deadline()) {
-          const auto left =
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  job.token.deadline() - detail::JobImpl::Clock::now());
-          child.deadline_ms = std::max<int64_t>(1, left.count());
-        }
-        children.push_back(engine.submit(std::move(child)));
-      }
-    }
-    for (size_t i = 0; i < children.size(); ++i) {
-      while (!children[i].wait_for(std::chrono::milliseconds(50)))
-        job.token.checkpoint();
-      const bool stop = record(i, children[i], children[i].sim_result());
-      job.token.campaign_maps_done.fetch_add(1, std::memory_order_relaxed);
-      if (stop)
-        for (size_t j = i + 1; j < children.size(); ++j) children[j].cancel();
-    }
-  } catch (const common::CancelledError& e) {
-    st = stop_status(e, what);
-  } catch (const Error& e) {
-    // submit() on a stopping Engine, or a child rejection.
-    st = Status::Cancelled(what + " aborted: " + e.what());
-  } catch (const std::exception& e) {
-    st = Status::Internal(what + ": " + e.what());
+void record_transient_point(detail::JobImpl& job, uint64_t i,
+                            const StatusOr<sim::SimResult>& r) {
+  TransientCampaignPoint& pt =
+      record_point(job.transient_result, job.req, i, r);
+  pt.flips_per_mcycle = Sweep(job.req).value(i);
+  if (r.ok()) pt.soft = r->soft;
+}
+
+/// A truncated sweep reports every point past the floor's density as not
+/// run, whether or not it had started when the floor was decided.
+void mark_unrun_points(detail::JobImpl& job) {
+  const Sweep sweep(job.req);
+  FaultCampaignPoint unrun;
+  unrun.state = JobState::kCancelled;
+  unrun.error =
+      Status::Cancelled("not run: the sweep stopped at its quality floor")
+          .to_string();
+  auto& points = job.campaign_result->points;
+  points.resize(sweep.points());
+  for (uint64_t i = job.points_prefix; i < points.size(); ++i) {
+    unrun.density = sweep.value(i);
+    unrun.seed = sweep.seed(i);
+    points[i] = unrun;
   }
-  if (!st.ok()) {
-    for (auto& c : children) c.cancel();
-    for (auto& c : children) c.wait();
-  }
-  return st;
 }
 
 }  // namespace
@@ -178,10 +239,7 @@ Engine::~Engine() {
     qcv_.notify_all();
     slot_cv_.notify_all();
   }
-  // Campaign orchestrators first: a stopping campaign cancels its child
-  // jobs (further child submits throw), and the executors below then
-  // drain and finalize those children before exiting.
-  for (auto& t : campaign_threads_) t.join();
+  // The executors drain the queue, campaign points included, and exit.
   for (auto& t : executors_) t.join();
 }
 
@@ -614,23 +672,36 @@ Job Engine::submit(JobRequest req) {
   }
   ensure_executor();
 
+  // A campaign that cannot run comes back already terminal and takes no
+  // slot; a valid one is one queue entry holding all its points.
+  Status refused;
   if (job_kind_campaign(impl->req.kind)) {
-    // Campaigns bypass the executor queue and its in-flight accounting:
-    // the orchestrator is a coordinator that mostly waits on the child
-    // simulate jobs it submits (those children take normal slots, so a
-    // large campaign self-throttles against max_inflight).  Running the
-    // coordinator on an executor worker could deadlock a width-1 pool.
-    common::MutexLock lock(qmu_);
-    metrics_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
-    GPURF_CHECK(!stopping_, "submit on a stopping Engine");
-    impl->id = next_job_id_++;
-    evict_terminal_jobs_locked();
-    jobs_[impl->id] = impl;
-    campaign_threads_.emplace_back([this, impl] { run_campaign(impl); });
-    return Job(impl);
+    refused = check_request(impl->req);
+    if (refused.ok()) refused = check_campaign(impl->req);
+    if (refused.ok()) {
+      impl->points = Sweep(impl->req).points();
+      impl->token.campaign_maps_total.store(static_cast<int>(impl->points),
+                                            std::memory_order_relaxed);
+    }
   }
+  // A job cancelled while queued frees its slot at once.  Whichever of
+  // this listener and the executor that pops the job comes first drops
+  // the queue entry, releases the slot and counts the job.
+  impl->add_listener([this, job = impl.get()] {
+    {
+      common::MutexLock lock(qmu_);
+      const auto it = std::find_if(
+          queue_.begin(), queue_.end(),
+          [&](const auto& q) { return q.get() == job; });
+      if (it == queue_.end() || job->points_handed > 0) return;
+      queue_.erase(it);
+      --inflight_;
+      slot_cv_.notify_one();
+    }
+    metrics_.record_terminal(terminal_state_for(job->status), false,
+                             wall_us_since(job->submitted_at));
+  });
 
-  bool rejected = false;
   {
     common::MutexLock lock(qmu_);
     metrics_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
@@ -644,28 +715,27 @@ Job Engine::submit(JobRequest req) {
     auto has_slot = [&]() GPURF_NO_THREAD_SAFETY_ANALYSIS {
       return stopping_ || inflight_ < opts_.max_inflight;
     };
-    if (deadline) {
-      if (!slot_cv_.wait_until(lock.native(), *deadline, has_slot))
-        rejected = true;
-    } else {
+    if (refused.ok() && deadline &&
+        !slot_cv_.wait_until(lock.native(), *deadline, has_slot))
+      refused = Status::DeadlineExceeded(
+          "no in-flight slot before the deadline (queue full)");
+    else if (refused.ok() && !deadline)
       slot_cv_.wait(lock.native(), has_slot);
-    }
     GPURF_CHECK(!stopping_, "submit on a stopping Engine");
     impl->id = next_job_id_++;
     evict_terminal_jobs_locked();
     jobs_[impl->id] = impl;
-    if (!rejected) {
+    if (refused.ok()) {
       ++inflight_;
       queue_.push_back(impl);
       qcv_.notify_one();
     }
   }
-  if (rejected) {
-    metrics_.record_terminal(JobState::kDeadlineExceeded, false,
+  if (!refused.ok()) {
+    const JobState terminal = terminal_state_for(refused);
+    metrics_.record_terminal(terminal, false,
                              wall_us_since(impl->submitted_at));
-    impl->finalize(JobState::kDeadlineExceeded,
-                   Status::DeadlineExceeded(
-                       "no in-flight slot before the deadline (queue full)"));
+    impl->finalize(terminal, std::move(refused));
   }
   return Job(impl);
 }
@@ -701,69 +771,109 @@ void Engine::evict_terminal_jobs_locked() {
   }
 }
 
-void Engine::release_slot() {
-  common::MutexLock lock(qmu_);
-  --inflight_;
-  slot_cv_.notify_one();
-}
-
-void Engine::run_job(detail::JobImpl& job) {
-  // Queue-wait latency (ISSUE 8): submit -> the executor actually starting
-  // the job (admission wait for a slot plus time parked in the queue).
-  metrics_.queue_wait_hist.record_us(wall_us_since(job.submitted_at));
-  Status st;
-  switch (job.req.kind) {
-    case JobKind::kPipeline: {
-      auto w = workload(job.req.workload);
-      if (!w.ok()) {
-        st = w.status();
-        break;
-      }
-      auto pr = pipeline_impl(**w, &job.token);
-      if (pr.ok()) {
-        // Value snapshot: the job owns its result independently of the
-        // Engine's memo (readers may outlive the Engine).  Written before
-        // finalize(), whose lock hand-off publishes it to readers.
-        job.pipeline_result = **pr;
-      } else {
-        st = pr.status();
-      }
-      break;
-    }
-    case JobKind::kSimulate: {
-      auto w = workload(job.req.workload);
-      if (!w.ok()) {
-        st = w.status();
-        break;
-      }
-      auto sr = simulate_impl(**w, job.req.sim, &job.token);
-      if (sr.ok()) {
-        job.sim_result = std::move(sr).value();
-      } else {
-        st = sr.status();
-      }
-      break;
-    }
-    case JobKind::kFaultCampaign:
-    case JobKind::kTransientCampaign:
-      // Campaign jobs never enter the executor queue (see submit()).
-      st = Status::Internal("campaign job on the executor queue");
-      break;
-  }
+void Engine::finish_job(detail::JobImpl& job, Status st) {
   const JobState terminal = terminal_state_for(st);
   // Ordering contract for observers woken by finalize(): the slot is
   // released first (inflight() == 0 once every waited-on job is terminal)
   // and the metrics are recorded first (a wait() that returned sees this
   // job in the terminal-state counters).
-  release_slot();
+  {
+    common::MutexLock lock(qmu_);
+    --inflight_;
+    slot_cv_.notify_one();
+  }
   metrics_.record_terminal(terminal, st.ok(), wall_us_since(job.submitted_at));
   job.finalize(terminal, std::move(st));
+}
+
+void Engine::run_job(detail::JobImpl& job) {
+  Status st;
+  auto w = workload(job.req.workload);
+  if (!w.ok()) {
+    st = w.status();
+  } else if (job.req.kind == JobKind::kPipeline) {
+    auto pr = pipeline_impl(**w, &job.token);
+    if (pr.ok()) {
+      // Value snapshot: the job owns its result independently of the
+      // Engine's memo (readers may outlive the Engine).  Written before
+      // finalize(), whose lock hand-off publishes it to readers.
+      job.pipeline_result = **pr;
+    } else {
+      st = pr.status();
+    }
+  } else {
+    auto sr = simulate_impl(**w, job.req.sim, &job.token);
+    if (sr.ok()) {
+      job.sim_result = std::move(sr).value();
+    } else {
+      st = sr.status();
+    }
+  }
+  finish_job(job, std::move(st));
+}
+
+void Engine::run_point(detail::JobImpl& job, uint64_t i) {
+  // The workload was checked at submit.
+  const StatusOr<sim::SimResult> r = simulate_impl(
+      **workload(job.req.workload), point_request(job.req, i), &job.token);
+  settle_points(job, i, 1, &r);
+}
+
+void Engine::settle_points(detail::JobImpl& job, uint64_t i, uint64_t n,
+                           const StatusOr<sim::SimResult>* r) {
+  for (;;) {
+    bool last = false;
+    bool cut = false;
+    {
+      std::lock_guard<std::mutex> lock(job.mu);
+      if (r && terminal_state_for(r->status()) != JobState::kDone)
+        job.points_stopped = true;  // the campaign's token stopped it
+      else if (r && !job.points_stopped)
+        (job.req.kind == JobKind::kFaultCampaign
+             ? record_fault_point
+             : record_transient_point)(job, i, *r);
+      job.points_done += n;
+      last = job.points_done == job.points;
+      cut = job.points_stopped ||
+            (job.campaign_result && job.campaign_result->truncated);
+    }
+    job.token.campaign_maps_done.fetch_add(static_cast<int>(n),
+                                           std::memory_order_relaxed);
+    if (last) break;
+    if (!cut) return;
+    {
+      // A stop or a crossed floor skips every point not handed out yet.
+      common::MutexLock lock(qmu_);
+      n = job.points - job.points_handed;
+      if (n == 0) return;
+      job.points_handed = job.points;
+      queue_.erase(std::find_if(
+          queue_.begin(), queue_.end(),
+          [&](const auto& q) { return q.get() == &job; }));
+    }
+    r = nullptr;
+  }
+  Status st;
+  {
+    std::lock_guard<std::mutex> lock(job.mu);
+    if (job.points_stopped) {
+      // A stopped campaign reports the stop, not a partial sweep.
+      st = stop_status(common::CancelledError(job.token.stop_reason()),
+                       campaign_name(job.req));
+      job.campaign_result.reset();
+      job.transient_result.reset();
+    } else if (job.campaign_result && job.campaign_result->truncated) {
+      mark_unrun_points(job);
+    }
+  }
+  finish_job(job, std::move(st));
 }
 
 void Engine::executor_loop() {
   for (;;) {
     std::shared_ptr<detail::JobImpl> job;
-    uint64_t seq = 0;
+    uint64_t point = 0;
+    bool started = true;
     {
       common::MutexLock lock(qmu_);
       qcv_.wait(lock.native(), [&]() GPURF_NO_THREAD_SAFETY_ANALYSIS {
@@ -781,143 +891,41 @@ void Engine::executor_loop() {
             (a.req.priority == b.req.priority && a.id < b.id))
           best = i;
       }
-      job = std::move(queue_[best]);
-      queue_.erase(queue_.begin() + best);
-      seq = next_run_seq_++;
+      // Each pop hands out one point, in index order (any other job is
+      // one point).  The entry leaves the queue with its last point and
+      // until then wakes another idle executor, so idle workers run a
+      // campaign's points side by side.  A job starts with its first
+      // point, under this lock, so a job that never started never hands
+      // out a later one.
+      job = queue_[best];
+      point = job->points_handed;
+      if (point == 0) started = job->start_running(next_run_seq_++);
+      job->points_handed = started ? point + 1 : job->points;
+      if (job->points_handed == job->points)
+        queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(best));
+      else
+        qcv_.notify_one();
     }
 
-    if (job->start_running(seq)) {
-      run_job(*job);
+    if (!started) {
+      // The job went terminal while queued or its token demands a stop
+      // before any work started.  Once popped, the discard is this
+      // executor's, not the submit-time listener's.
+      finish_job(*job,
+                 job->token.stop_reason() == common::StopReason::kDeadline
+                     ? Status::DeadlineExceeded("deadline expired in queue")
+                     : Status::Cancelled("cancelled while queued"));
     } else {
-      // The job went terminal while queued (Job::cancel finalized it) or
-      // its token demands a stop before any work started.  Release the
-      // slot, make sure a terminal state is recorded, and count it (each
-      // popped-unstarted job is counted exactly here, exactly once).
-      release_slot();
-      const common::StopReason r = job->token.stop_reason();
-      JobState terminal = JobState::kCancelled;
-      Status st = Status::Cancelled("cancelled while queued");
-      if (r == common::StopReason::kDeadline) {
-        terminal = JobState::kDeadlineExceeded;
-        st = Status::DeadlineExceeded("deadline expired in queue");
-      }
-      metrics_.record_terminal(terminal, false,
-                               wall_us_since(job->submitted_at));
-      job->finalize(terminal, std::move(st));
+      // Queue-wait latency: submit -> the executor actually starting
+      // the job (admission wait for a slot plus time parked in the queue).
+      if (point == 0)
+        metrics_.queue_wait_hist.record_us(wall_us_since(job->submitted_at));
+      if (job_kind_campaign(job->req.kind))
+        run_point(*job, point);
+      else
+        run_job(*job);
     }
   }
-}
-
-void Engine::run_campaign(std::shared_ptr<detail::JobImpl> job) {
-  uint64_t seq = 0;
-  {
-    common::MutexLock lock(qmu_);
-    seq = next_run_seq_++;
-  }
-  auto finish = [&](Status st) {
-    const JobState terminal = terminal_state_for(st);
-    metrics_.record_terminal(terminal, st.ok(),
-                             wall_us_since(job->submitted_at));
-    job->finalize(terminal, std::move(st));
-  };
-  if (!job->start_running(seq)) {
-    // Cancelled (or deadline-expired) before the orchestrator started.
-    finish(job->token.stop_reason() == common::StopReason::kDeadline
-               ? Status::DeadlineExceeded("deadline before campaign start")
-               : Status::Cancelled("cancelled before campaign start"));
-    return;
-  }
-  metrics_.queue_wait_hist.record_us(wall_us_since(job->submitted_at));
-  if (Status st = check_job_request(job->req); !st.ok()) {
-    finish(std::move(st));
-    return;
-  }
-
-  const std::string& wl = job->req.workload;
-  Status st;
-  if (job->req.kind == JobKind::kFaultCampaign) {
-    const FaultCampaignRequest& fc = job->req.campaign;
-    const std::string what = "fault campaign '" + wl + "'";
-    // Faults live in the compressed register file: a campaign over the
-    // baseline RF is meaningless, so reject it before spawning children
-    // instead of letting every child fail with the same error.
-    if (fc.sim.mode == workloads::SimMode::kOriginal) {
-      finish(Status::InvalidArgument(
-          what + " requires a compressed mode (perfect|high)"));
-      return;
-    }
-    SimRequest tmpl = fc.sim;
-    // Early stopping needs every child scored, whatever the template said.
-    if (fc.quality_floor > 0.0) tmpl.fault.score_quality = true;
-    FaultCampaignResult res;
-    res.workload = wl;
-    // Points arrive density-major, so early stopping acts at each density
-    // boundary: once the mean quality delta of a completed density crosses
-    // the floor, the remaining (higher-density) children are cancelled
-    // and the result is marked truncated.
-    double delta_sum = 0.0;
-    int delta_n = 0;
-    st = run_sweep(
-        *this, *job, what, fc.densities, fc.maps_per_density, fc.base_seed,
-        tmpl,
-        [&](SimRequest& sr, double density, uint64_t seed) {
-          sr.fault.density = density;
-          sr.fault.seed = seed;
-          FaultCampaignPoint& pt = res.points.emplace_back();
-          pt.density = density;
-          pt.seed = seed;
-        },
-        [&](size_t i, const Job& child, const StatusOr<sim::SimResult>& r) {
-          FaultCampaignPoint& pt = res.points[i];
-          fill_point(pt, child, r);
-          if (r.ok()) pt.fault = r->fault;
-          if (fc.quality_floor <= 0.0 || res.truncated) return false;
-          if (r.ok() && pt.fault.quality_scored) {
-            delta_sum += pt.fault.quality_delta;
-            ++delta_n;
-          }
-          if (i + 1 < res.points.size() &&
-              res.points[i + 1].density == pt.density)
-            return false;  // density not complete yet
-          res.truncated =
-              delta_n > 0 && delta_sum / delta_n > fc.quality_floor;
-          if (res.truncated) res.truncated_at_density = pt.density;
-          delta_sum = 0.0;
-          delta_n = 0;
-          return res.truncated;
-        });
-    if (st.ok() && res.points.empty())
-      st = Status::InvalidArgument(what + " has no density points");
-    else if (st.ok())
-      job->campaign_result = std::move(res);
-  } else {
-    // Any mode is legal for a transient campaign — comparing the baseline
-    // RF's vulnerability against the compressed one is the point.
-    const TransientCampaignRequest& tc = job->req.transient;
-    const std::string what = "transient campaign '" + wl + "'";
-    TransientCampaignResult res;
-    res.workload = wl;
-    st = run_sweep(
-        *this, *job, what, tc.flip_rates, tc.seeds_per_rate, tc.base_seed,
-        tc.sim,
-        [&](SimRequest& sr, double rate, uint64_t seed) {
-          sr.soft.flips_per_mcycle = rate;
-          sr.soft.seed = seed;
-          TransientCampaignPoint& pt = res.points.emplace_back();
-          pt.flips_per_mcycle = rate;
-          pt.seed = seed;
-        },
-        [&](size_t i, const Job& child, const StatusOr<sim::SimResult>& r) {
-          fill_point(res.points[i], child, r);
-          if (r.ok()) res.points[i].soft = r->soft;
-          return false;
-        });
-    if (st.ok() && res.points.empty())
-      st = Status::InvalidArgument(what + " has no flip-rate points");
-    else if (st.ok())
-      job->transient_result = std::move(res);
-  }
-  finish(std::move(st));
 }
 
 Status Engine::drain(int64_t budget_ms) {
@@ -931,20 +939,11 @@ Status Engine::drain(int64_t budget_ms) {
     for (const auto& [id, j] : jobs_) live.push_back(j);
   }
   // Shed still-queued jobs immediately: drain means "finish what is
-  // running, start nothing new".  (The executor releases their slots when
-  // it pops the finalized entries.)
-  for (auto& j : live) {
-    bool queued = false;
-    {
-      std::lock_guard<std::mutex> lk(j->mu);
-      queued = j->state == JobState::kQueued;
-    }
-    if (queued) {
-      j->token.cancel();
-      j->finalize(JobState::kCancelled,
-                  Status::Cancelled("cancelled by drain while queued"));
-    }
-  }
+  // running, start nothing new".  (Their listeners free the slots.)
+  for (auto& j : live)
+    j->finalize(JobState::kCancelled,
+                Status::Cancelled("cancelled by drain while queued"),
+                /*only_if_queued=*/true);
   // Running jobs get the budget...
   size_t cancelled = 0;
   for (auto& j : live) {
@@ -994,9 +993,12 @@ MetricsSnapshot Engine::metrics_snapshot() const {
                                                                           : 0;
   {
     common::MutexLock lock(qmu_);
-    m.queue_depth = queue_.size();
+    // A campaign with points handed out is running, not queued.
+    m.queue_depth = static_cast<uint64_t>(
+        std::count_if(queue_.begin(), queue_.end(),
+                      [](const auto& j) { return j->points_handed == 0; }));
     m.inflight = inflight_;
-    m.jobs_running = inflight_ - queue_.size();
+    m.jobs_running = inflight_ - m.queue_depth;
   }
   m.jobs_submitted = metrics_.jobs_submitted.load(std::memory_order_relaxed);
   m.jobs_done = metrics_.jobs_done.load(std::memory_order_relaxed);

@@ -39,7 +39,9 @@
 // pass/evaluations, simulated cycles).  The executor's in-flight set is
 // bounded by EngineOptions::max_inflight: a deadline-less submit blocks
 // for a slot (backpressure), a submit with a deadline gives up when the
-// deadline passes and returns the job already in kDeadlineExceeded.
+// deadline passes and returns the job already in kDeadlineExceeded.  A
+// fault or transient campaign is one such job: its points are handed to
+// the executor workers one per queue pop, side by side with other jobs.
 // Engine-level metrics (cache hit counters, queue depth, jobs by terminal
 // state, wall times) export via metrics_json(); api/server.hpp speaks the
 // whole surface over a local socket (gpurfd).
@@ -90,8 +92,8 @@ struct EngineOptions {
   /// Overridable per request via SimRequest::sim_shards.
   int sim_shards = 0;
   /// Async executor width; <= 0 resolves to `threads`.  Executor threads
-  /// run submitted jobs concurrently; each job fans its inner work out on
-  /// the Engine's pool.
+  /// run submitted jobs (and campaign points) concurrently; each fans its
+  /// inner work out on the Engine's pool.
   int async_workers = 0;
   /// Bound on queued + running async jobs; 0 resolves to
   /// 2 * async_workers.  A full queue blocks deadline-less submitters;
@@ -208,22 +210,23 @@ class Engine {
 
   // --------------------------------------------------------------- Job API
 
-  /// Enqueue a pipeline / simulation job.  The returned handle is live
-  /// immediately: id(), state(), cancel(), wait_for(), progress().
+  /// Enqueue a pipeline, simulation or campaign job.  The returned handle
+  /// is live immediately: id(), state(), cancel(), wait_for(), progress().
   /// Scheduling: highest priority first, FIFO within a level.  With a
   /// deadline, the submit itself gives up once the deadline passes while
   /// waiting for an in-flight slot (the job comes back already
   /// kDeadlineExceeded); without one it blocks for a slot (backpressure).
   /// Execution errors (unknown workload, failed verification, ...) land in
-  /// Job::status(), not here.
+  /// Job::status(), not here.  A campaign is checked here instead: one
+  /// the Engine cannot run comes back already terminal and takes no slot.
   Job submit(JobRequest req);
 
   /// Reject a request before it takes a queue slot when the Engine would
   /// fail it anyway: an unknown workload (NotFound), a writeback delay
   /// above 64 cycles, or a campaign whose point count overflows int
   /// (InvalidArgument).  The Server checks every wire submit here; the
-  /// Engine repeats the request checks when the job runs, so an in-process
-  /// submit reports them in Job::status().
+  /// Engine repeats the request checks at submit (campaigns) or when the
+  /// job runs, so an in-process submit reports them in Job::status().
   Status check_request(const JobRequest& req) const;
 
   /// Look up a previously submitted job by id (NotFound once it has been
@@ -267,10 +270,14 @@ class Engine {
   void ensure_executor();
   void executor_loop();
   void run_job(detail::JobImpl& job);
-  /// Orchestrate a fault or transient campaign: one sweep of child
-  /// simulate jobs, collected in submission order.
-  void run_campaign(std::shared_ptr<detail::JobImpl> job);
-  void release_slot();
+  void run_point(detail::JobImpl& job, uint64_t i);
+  /// Count points [i, i + n) of a campaign finished, `r` being point i's
+  /// outcome when it ran; the call that settles the last point finishes
+  /// the campaign.
+  void settle_points(detail::JobImpl& job, uint64_t i, uint64_t n,
+                     const StatusOr<sim::SimResult>* r);
+  /// Release the slot, count the terminal state and finalize.
+  void finish_job(detail::JobImpl& job, Status st);
   void evict_terminal_jobs_locked() GPURF_REQUIRES(qmu_);
 
   EngineOptions opts_;
@@ -297,13 +304,6 @@ class Engine {
   bool stopping_ GPURF_GUARDED_BY(qmu_) = false;
   bool executor_started_ GPURF_GUARDED_BY(qmu_) = false;
   std::vector<std::thread> executors_;
-  /// Fault-campaign orchestrator threads (one per campaign job).  They
-  /// bypass the executor queue — a campaign is a coordinator that mostly
-  /// waits on its child simulate jobs, so parking it on an executor
-  /// worker could deadlock a small pool.  Joined in the destructor
-  /// *before* the executors: a stopping campaign cancels its children,
-  /// which the draining executors then finalize.
-  std::vector<std::thread> campaign_threads_;
 };
 
 }  // namespace gpurf

@@ -92,22 +92,24 @@ struct SimRequest {
 };
 
 /// A fault-injection campaign (ROADMAP 4a): sweep `maps_per_density`
-/// seeded fault maps at each density in `densities`, every map one
-/// child simulate Job on the Engine's executor.  Per-map seeds are
-/// derived deterministically from `base_seed`, so a campaign is exactly
+/// seeded fault maps at each density in `densities`.  The campaign is one
+/// job and one in-flight slot; the Engine's executor workers run its
+/// maps, one per queue pop, side by side.  Per-map seeds are derived
+/// deterministically from `base_seed`, so a campaign is exactly
 /// reproducible; per-map progress is published through
-/// JobProgress::campaign_maps_{done,total} and cancel stops the sweep at
-/// the next map boundary.
+/// JobProgress::campaign_maps_{done,total}, and cancel stops the running
+/// maps at their next checkpoint and skips the rest.
 struct FaultCampaignRequest {
-  SimRequest sim;                 ///< template for every child simulation
+  SimRequest sim;                 ///< template for every map's simulation
   std::vector<double> densities = {0.005, 0.01, 0.02, 0.05};
   int maps_per_density = 3;       ///< seeded maps per density point
   uint64_t base_seed = 1;         ///< per-map seeds derived from this
-  /// Early stopping (PR 7): > 0 forces quality scoring on every child and,
-  /// once the mean quality delta (positive = worse) across a completed
-  /// density crosses above this floor, cooperatively cancels the remaining
-  /// higher-density children and marks the result truncated.  <= 0
-  /// (default) disables early stopping.
+  /// Early stopping: > 0 forces quality scoring on every map and,
+  /// once the mean quality delta (positive = worse) across a density
+  /// crosses above this floor (decided in density order, each density
+  /// once it and every earlier one are complete), skips the maps of the
+  /// higher densities, reports them not run and marks the result
+  /// truncated.  <= 0 (default) disables early stopping.
   double quality_floor = 0.0;
 };
 
@@ -138,9 +140,9 @@ inline bool job_state_terminal(JobState s) {
 struct FaultCampaignPoint {
   double density = 0.0;   ///< requested density of this point
   uint64_t seed = 0;      ///< derived per-map seed
-  JobState state = JobState::kDone;  ///< child terminal state
-  std::string error;      ///< non-empty when the child failed
-  sim::FaultInjectionReport fault;   ///< empty when the child failed
+  JobState state = JobState::kDone;  ///< kCancelled when not run
+  std::string error;      ///< non-empty when the map failed or did not run
+  sim::FaultInjectionReport fault;   ///< empty when the map failed
   uint64_t cycles = 0;
   double ipc = 0.0;
 };
@@ -148,20 +150,20 @@ struct FaultCampaignPoint {
 struct FaultCampaignResult {
   std::string workload;
   std::vector<FaultCampaignPoint> points;  ///< density-major, seed order
-  /// Early stopping fired: children past `truncated_at_density` were
-  /// cancelled after the mean quality delta crossed the request's floor.
+  /// Early stopping fired: maps past `truncated_at_density` did not run
+  /// after the mean quality delta crossed the request's floor.
   bool truncated = false;
   double truncated_at_density = 0.0;
 };
 
 /// A transient soft-error campaign (PR 7 tentpole): sweep `seeds_per_rate`
-/// seeded flip processes at each rate in `flips_per_mcycle`, every point
-/// one child simulate job on the Engine's executor.  Per-point seeds are a
+/// seeded flip processes at each rate in `flip_rates`, one job whose
+/// points run on the Engine's executor workers.  Per-point seeds are a
 /// deterministic splitmix64 stream off `base_seed`; progress and
 /// cancellation behave exactly like a permanent-fault campaign.
 struct TransientCampaignRequest {
-  /// Template for every child: mode, scale, compression, re-tuning — the
-  /// per-child soft-error rate and seed are overwritten by the sweep.
+  /// Template for every point: mode, scale, compression, re-tuning — the
+  /// per-point soft-error rate and seed are overwritten by the sweep.
   SimRequest sim;
   std::vector<double> flip_rates = {10.0, 100.0, 1000.0};  ///< per Mcycle
   int seeds_per_rate = 3;
@@ -172,11 +174,11 @@ struct TransientCampaignRequest {
 struct TransientCampaignPoint {
   double flips_per_mcycle = 0.0;
   uint64_t seed = 0;
-  JobState state = JobState::kDone;  ///< child terminal state
-  std::string error;       ///< non-empty when the child failed (a corrupted
+  JobState state = JobState::kDone;
+  std::string error;       ///< non-empty when the point failed (a corrupted
                            ///< address aborting the run is a DUE, reported
-                           ///< here as the child's FailedPrecondition)
-  sim::SoftErrorReport soft;  ///< empty when the child failed
+                           ///< here as the point's FailedPrecondition)
+  sim::SoftErrorReport soft;  ///< empty when the point failed
   uint64_t cycles = 0;
   double ipc = 0.0;
 };
@@ -199,9 +201,7 @@ inline const char* job_kind_name(JobKind k) {
   return "unknown";
 }
 
-/// True for job kinds that run as campaign orchestrators (a coordinator
-/// thread fanning out child simulate jobs) instead of executor queue
-/// entries.
+/// True for the job kinds that sweep many simulations as one job.
 inline bool job_kind_campaign(JobKind k) {
   return k == JobKind::kFaultCampaign || k == JobKind::kTransientCampaign;
 }
@@ -264,7 +264,7 @@ struct JobProgress {
   /// (e.g. simulated cycles per second) are meaningful even when many
   /// jobs were submitted up front.
   double exec_ms = 0.0;
-  // Fault-campaign jobs only: per-map sweep progress.
+  // Campaign jobs only: points settled (run or skipped) and in the sweep.
   int campaign_maps_done = 0;
   int campaign_maps_total = 0;
 };
@@ -300,6 +300,16 @@ struct JobImpl {
   Clock::time_point finished_at{};
   uint64_t run_seq = 0;
 
+  // A job is one queue entry of `points` runs (a campaign's simulations,
+  // else one), handed out in index order (`points_handed`, under the
+  // Engine's queue lock).  The rest are under `mu`: points finished, the
+  // finished prefix the quality floor has read, whether a stop cut it.
+  uint64_t points = 1;
+  uint64_t points_handed = 0;
+  uint64_t points_done = 0;
+  uint64_t points_prefix = 0;
+  bool points_stopped = false;
+
   /// queued -> running; false if the job is already terminal or a stop was
   /// requested while it sat in the queue (the caller finalizes it instead).
   bool start_running(uint64_t seq) {
@@ -312,18 +322,21 @@ struct JobImpl {
     return true;
   }
 
-  /// Transition to a terminal state exactly once.  The registered
+  /// Transition to a terminal state exactly once (with `only_if_queued`,
+  /// only a job no executor has started).  The registered
   /// listeners run first, outside the lock, and only then does the
   /// terminal state become observable (waiters wake, status() succeeds):
   /// anything a client can learn from "the job is done" already reflects
   /// listener side effects, e.g. the serving layer's per-token quota slot
   /// is free by the time a wait() returns.  Returns false if the job was
   /// already terminal or another finalize is in flight (no-op then).
-  bool finalize(JobState terminal, Status st) {
+  bool finalize(JobState terminal, Status st, bool only_if_queued = false) {
     std::vector<std::function<void()>> listeners;
     {
       std::lock_guard<std::mutex> lock(mu);
-      if (finalizing || job_state_terminal(state)) return false;
+      if (finalizing || job_state_terminal(state) ||
+          (only_if_queued && state != JobState::kQueued))
+        return false;
       finalizing = true;
       // Outcome fields are set now so listeners can read them; the state
       // machine itself still reads kQueued/kRunning until the publish
@@ -380,19 +393,18 @@ class Job {
   bool done() const { return job_state_terminal(state()); }
 
   /// Request cooperative cancellation.  A queued job transitions to
-  /// kCancelled immediately; a running job stops at its next checkpoint
-  /// (at most one tuner probe batch / pipeline stage / simulation slice
-  /// later).  No-op on terminal jobs.
+  /// kCancelled immediately and frees its in-flight slot; a running job
+  /// stops at its next checkpoint (at most one tuner probe batch /
+  /// pipeline stage / simulation slice later), a running campaign's
+  /// points likewise, and its points not yet started are skipped.  No-op
+  /// on terminal jobs.
   void cancel() {
     impl_->token.cancel();
-    std::unique_lock<std::mutex> lock(impl_->mu);
-    if (impl_->state == JobState::kQueued) {
-      lock.unlock();
-      // The executor discards the queue entry when it reaches it; the
-      // in-flight slot is released there, so accounting stays single-owner.
-      impl_->finalize(JobState::kCancelled,
-                      Status::Cancelled("cancelled while queued"));
-    }
+    // The Engine's terminal listener drops the queue entry and frees the
+    // in-flight slot before the job reads as cancelled.
+    impl_->finalize(JobState::kCancelled,
+                    Status::Cancelled("cancelled while queued"),
+                    /*only_if_queued=*/true);
   }
 
   /// Block until the job is terminal.

@@ -74,11 +74,11 @@ std::string to_json(const sim::SimStats& s);
 std::string to_json(const sim::SimResult& r);
 
 /// Fault-campaign snapshot (PR 6): one entry per (density, seed) point
-/// with the child's state, degradation report, cycles and IPC.
+/// with the point's state, degradation report, cycles and IPC.
 std::string to_json(const FaultCampaignResult& r);
 
 /// Transient-campaign snapshot (PR 7): one entry per (flip rate, seed)
-/// point with the child's state, AVF-style soft-error report, cycles and
+/// point with the point's state, AVF-style soft-error report, cycles and
 /// IPC.
 std::string to_json(const TransientCampaignResult& r);
 

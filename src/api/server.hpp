@@ -22,7 +22,10 @@
 //    // simulate only (PR 6 fault injection; needs a compressed mode):
 //    "fault_seed":N,"fault_density":F,"fault_quality":B,
 //    // fault_campaign only (mode defaults to "perfect" here):
-//    "densities":[F,...],"maps_per_density":N,"base_seed":N}
+//    "densities":[F,...],"maps_per_density":N,"base_seed":N,
+//    "quality_floor":F,
+//    // transient_campaign only:
+//    "flip_rates":[F,...],"seeds_per_rate":N,"base_seed":N}
 //                                         -> {"job":ID,"state":..}
 //   {"op":"status","job":ID}                        -> state + progress
 //   {"op":"wait","job":ID,"timeout_ms":N}          -> state [+ "result"]
@@ -50,9 +53,13 @@
 // The Engine then rejects a writeback_delay above 64 cycles (8x the
 // paper's largest §6.3 point) and a campaign whose point count
 // (densities x maps_per_density, flip_rates x seeds_per_rate) exceeds
-// 2^31-1, also with INVALID_ARGUMENT.  A job id in range that names no
-// job is NOT_FOUND.  timeout_ms and progress_ms are clamped rather than
-// rejected (negative timeouts act as 0).  Unknown fields are ignored.
+// 2^31-1, also with INVALID_ARGUMENT.  A campaign is one job: it takes
+// one in-flight slot, and the Engine's executor workers run its points.
+// A fault campaign in "original" mode or one with no densities / flip
+// rates comes back already done with INVALID_ARGUMENT.  A job id in
+// range that names no job is NOT_FOUND.  timeout_ms and progress_ms are
+// clamped rather than rejected (negative timeouts act as 0).  Unknown
+// fields are ignored.
 //
 // A finished job's result rides inline in the wait/watch envelope as
 // "result" (a few KB).

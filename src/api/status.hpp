@@ -9,7 +9,7 @@
 // workload, malformed kernel text, stale cache entry — without unwinding or
 // terminating the process.
 
-#include <new>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -113,51 +113,22 @@ class StatusOr {
     GPURF_CHECK(!status_.ok(), "StatusOr constructed from OK without value");
   }
   StatusOr(T value)  // NOLINT
-      : has_value_(true) {
-    new (&storage_) T(std::move(value));
-  }
+      : value_(std::move(value)) {}
 
-  StatusOr(const StatusOr& o) : status_(o.status_), has_value_(o.has_value_) {
-    if (has_value_) new (&storage_) T(*o.ptr());
-  }
-  StatusOr(StatusOr&& o) noexcept
-      : status_(std::move(o.status_)), has_value_(o.has_value_) {
-    if (has_value_) new (&storage_) T(std::move(*o.ptr()));
-  }
-  StatusOr& operator=(const StatusOr& o) {
-    if (this != &o) {
-      destroy();
-      status_ = o.status_;
-      has_value_ = o.has_value_;
-      if (has_value_) new (&storage_) T(*o.ptr());
-    }
-    return *this;
-  }
-  StatusOr& operator=(StatusOr&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      status_ = std::move(o.status_);
-      has_value_ = o.has_value_;
-      if (has_value_) new (&storage_) T(std::move(*o.ptr()));
-    }
-    return *this;
-  }
-  ~StatusOr() { destroy(); }
-
-  bool ok() const { return has_value_; }
+  bool ok() const { return value_.has_value(); }
   const Status& status() const { return status_; }
 
   const T& value() const& {
-    GPURF_CHECK(has_value_, "StatusOr::value on error: " << status_.to_string());
-    return *ptr();
+    GPURF_CHECK(ok(), "StatusOr::value on error: " << status_.to_string());
+    return *value_;
   }
   T& value() & {
-    GPURF_CHECK(has_value_, "StatusOr::value on error: " << status_.to_string());
-    return *ptr();
+    GPURF_CHECK(ok(), "StatusOr::value on error: " << status_.to_string());
+    return *value_;
   }
   T&& value() && {
-    GPURF_CHECK(has_value_, "StatusOr::value on error: " << status_.to_string());
-    return std::move(*ptr());
+    GPURF_CHECK(ok(), "StatusOr::value on error: " << status_.to_string());
+    return std::move(*value_);
   }
 
   const T& operator*() const& { return value(); }
@@ -166,20 +137,8 @@ class StatusOr {
   T* operator->() { return &value(); }
 
  private:
-  T* ptr() { return std::launder(reinterpret_cast<T*>(&storage_)); }
-  const T* ptr() const {
-    return std::launder(reinterpret_cast<const T*>(&storage_));
-  }
-  void destroy() {
-    if (has_value_) {
-      ptr()->~T();
-      has_value_ = false;
-    }
-  }
-
   Status status_;
-  bool has_value_ = false;
-  alignas(T) unsigned char storage_[sizeof(T)];
+  std::optional<T> value_;
 };
 
 }  // namespace gpurf

@@ -89,15 +89,6 @@ class CancelToken {
                        std::memory_order_release);
   }
 
-  bool has_deadline() const {
-    return deadline_ns_.load(std::memory_order_acquire) != 0;
-  }
-
-  Clock::time_point deadline() const {
-    return Clock::time_point(
-        Clock::duration(deadline_ns_.load(std::memory_order_acquire)));
-  }
-
   bool cancelled() const {
     return cancelled_.load(std::memory_order_acquire);
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "api/json.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -45,7 +44,6 @@ bool FaultMap::is_faulty(uint32_t bank, uint32_t row, uint8_t slice) const {
 FaultMap FaultMap::generate(uint64_t seed, double density, uint32_t banks,
                             uint32_t rows_per_bank) {
   FaultMap map(banks, rows_per_bank);
-  map.seed_ = seed;
   const double d = std::clamp(density, 0.0, 1.0);
   const uint64_t total = map.total_slice_sites();
   const uint64_t count =
@@ -69,69 +67,6 @@ FaultMap FaultMap::generate(uint64_t seed, double density, uint32_t banks,
     const uint32_t phys = idx / 8;
     map.add_fault(phys % banks, phys / banks,
                   static_cast<uint8_t>(idx % 8));
-  }
-  return map;
-}
-
-std::string FaultMap::to_json() const {
-  std::string arr = "[";
-  for (size_t i = 0; i < faults_.size(); ++i) {
-    if (i) arr += ',';
-    arr += "[" + std::to_string(faults_[i].bank) + "," +
-           std::to_string(faults_[i].row) + "," +
-           std::to_string(unsigned(faults_[i].slice)) + "]";
-  }
-  arr += ']';
-
-  api::JsonWriter w;
-  w.begin_object();
-  w.field("version", 1);
-  w.field("banks", banks_);
-  w.field("rows", rows_);
-  w.field("seed", seed_);
-  w.field("density", density());
-  w.raw("faults", arr);
-  w.end_object();
-  return w.str();
-}
-
-StatusOr<FaultMap> FaultMap::from_json(const std::string& text) {
-  auto parsed = api::parse_json(text);
-  if (!parsed.ok()) return parsed.status();
-  const api::JsonValue& v = *parsed;
-  if (!v.is_object())
-    return Status::InvalidArgument("fault map: document must be an object");
-  const api::JsonValue* ver = v.get("version");
-  if (!ver || ver->as_int(0) != 1)
-    return Status::InvalidArgument("fault map: unsupported version");
-  const uint32_t banks = static_cast<uint32_t>(
-      v.get("banks") ? v.get("banks")->as_int(kDefaultBanks) : kDefaultBanks);
-  const uint32_t rows = static_cast<uint32_t>(
-      v.get("rows") ? v.get("rows")->as_int(kDefaultRowsPerBank)
-                    : kDefaultRowsPerBank);
-  if (banks == 0 || rows == 0)
-    return Status::InvalidArgument("fault map: empty geometry");
-  FaultMap map(banks, rows);
-  if (const api::JsonValue* s = v.get("seed"))
-    map.seed_ = static_cast<uint64_t>(s->as_int(0));
-  const api::JsonValue* faults = v.get("faults");
-  if (!faults || !faults->is_array())
-    return Status::InvalidArgument("fault map: missing 'faults' array");
-  for (const api::JsonValue& site : faults->items) {
-    if (!site.is_array() || site.items.size() != 3)
-      return Status::InvalidArgument(
-          "fault map: each fault must be [bank,row,slice]");
-    const int64_t bank = site.items[0].as_int(-1);
-    const int64_t row = site.items[1].as_int(-1);
-    const int64_t slice = site.items[2].as_int(-1);
-    if (bank < 0 || uint64_t(bank) >= banks || row < 0 ||
-        uint64_t(row) >= rows || slice < 0 || slice >= 8)
-      return Status::InvalidArgument(
-          "fault map: site (" + std::to_string(bank) + "," +
-          std::to_string(row) + "," + std::to_string(slice) +
-          ") outside geometry");
-    map.add_fault(static_cast<uint32_t>(bank), static_cast<uint32_t>(row),
-                  static_cast<uint8_t>(slice));
   }
   return map;
 }

@@ -25,11 +25,9 @@
 // seed yields the same map on every platform, thread count and shard
 // count, which is what makes fault-campaign sweeps reproducible Jobs.
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "api/status.hpp"
 
 namespace gpurf::rf {
 
@@ -61,7 +59,6 @@ class FaultMap {
 
   uint32_t banks() const { return banks_; }
   uint32_t rows_per_bank() const { return rows_; }
-  uint64_t seed() const { return seed_; }
   uint64_t total_slice_sites() const {
     return uint64_t(banks_) * rows_ * 8;
   }
@@ -93,13 +90,6 @@ class FaultMap {
   /// Sites in canonical (bank, row, slice) order.
   const std::vector<FaultSite>& faults() const { return faults_; }
 
-  /// Serialization: {"version":1,"banks":B,"rows":R,"seed":S,
-  /// "faults":[[bank,row,slice],...]}.  from_json accepts exactly what
-  /// to_json emits and rejects malformed or out-of-geometry input with
-  /// InvalidArgument.
-  std::string to_json() const;
-  static StatusOr<FaultMap> from_json(const std::string& text);
-
   bool operator==(const FaultMap& o) const {
     return banks_ == o.banks_ && rows_ == o.rows_ && faults_ == o.faults_;
   }
@@ -107,7 +97,6 @@ class FaultMap {
  private:
   uint32_t banks_ = kDefaultBanks;
   uint32_t rows_ = kDefaultRowsPerBank;
-  uint64_t seed_ = 0;
   std::vector<FaultSite> faults_;  ///< canonical order, no duplicates
   std::vector<uint8_t> masks_;     ///< per-phys-reg faulty-slice mask
 };

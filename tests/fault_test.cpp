@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -75,22 +76,6 @@ TEST(FaultMap, FaultyMaskMatchesSites) {
   EXPECT_EQ(fm.faulty_mask(100000), 0u) << "beyond geometry = fault-free";
   EXPECT_TRUE(fm.is_faulty(3, 2, 5));
   EXPECT_FALSE(fm.is_faulty(3, 2, 1));
-}
-
-TEST(FaultMap, JsonRoundTrip) {
-  const auto fm = rf::FaultMap::generate(7, 0.1);
-  const auto back = rf::FaultMap::from_json(fm.to_json());
-  ASSERT_TRUE(back.ok()) << back.status().to_string();
-  EXPECT_TRUE(fm == *back);
-  EXPECT_EQ(back->seed(), 7u);
-
-  EXPECT_FALSE(rf::FaultMap::from_json("{}").ok());
-  EXPECT_FALSE(rf::FaultMap::from_json("[1,2,3]").ok());
-  // Out-of-geometry site must be rejected, not crash later.
-  EXPECT_FALSE(rf::FaultMap::from_json(
-                   R"({"version":1,"banks":2,"rows":2,"seed":0,)"
-                   R"("density":0.1,"faults":[[5,0,0]]})")
-                   .ok());
 }
 
 // ------------------------------------------- zero-fault map is inert
@@ -422,14 +407,14 @@ TEST(FaultCampaign, QualityFloorTruncatesTheSweep) {
   // With re-tuning on, dense maps trade precision for placement, so the
   // perfect-quality delta turns strictly positive; an (absurdly low)
   // quality floor must then stop the sweep at the first density and mark
-  // the result truncated.  Whether the higher-density children were still
-  // cancellable is a race we deliberately don't pin down — truncation
-  // metadata is the contract.
+  // the result truncated.  Two workers run the points side by side, so a
+  // 0.95 point may start before the 0.9 density completes: it still
+  // reports "not run", and the result is the same on every schedule.
   TempDir dir("gpurf_test_cache_camp_floor");
   Engine engine(EngineOptions()
                     .with_threads(2)
                     .with_cache_dir(dir.path)
-                    .with_async_workers(1)
+                    .with_async_workers(2)
                     .with_max_inflight(2));
   FaultCampaignRequest creq;
   creq.sim.mode = wl::SimMode::kCompressedPerfect;
@@ -450,10 +435,24 @@ TEST(FaultCampaign, QualityFloorTruncatesTheSweep) {
   EXPECT_TRUE(res->points[0].fault.quality_scored);
   EXPECT_TRUE(res->truncated);
   EXPECT_EQ(res->truncated_at_density, 0.9);
+  for (size_t i = 2; i < 4; ++i) {
+    EXPECT_EQ(res->points[i].density, 0.95);
+    EXPECT_EQ(res->points[i].state, JobState::kCancelled);
+    EXPECT_NE(res->points[i].error.find("not run"), std::string::npos)
+        << res->points[i].error;
+    EXPECT_EQ(res->points[i].cycles, 0u);
+  }
   const std::string js = api::to_json(*res);
   EXPECT_NE(js.find("\"truncated\":true"), std::string::npos) << js;
   EXPECT_NE(js.find("\"truncated_at_density\""), std::string::npos);
   EXPECT_TRUE(api::parse_json(js).ok());
+
+  // A rerun on the warm Engine schedules differently and reads the same.
+  Job again = engine.submit(JobRequest::fault_campaign("SSAO", creq));
+  again.wait();
+  auto res2 = again.campaign_result();
+  ASSERT_TRUE(res2.ok()) << res2.status().to_string();
+  EXPECT_EQ(api::to_json(*res2), js);
 
   // Without a floor the same sweep runs to completion untruncated (some
   // points may individually fail at these extreme densities — that's a
@@ -493,6 +492,125 @@ TEST(FaultCampaign, CancelLeavesNoPartialCacheState) {
   for (const auto& entry : fs::recursive_directory_iterator(dir.path))
     EXPECT_EQ(entry.path().extension(), ".pmap")
         << "unexpected cache residue: " << entry.path();
+}
+
+/// Threads of this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+TEST(FaultCampaign, CampaignsRunOnTheExecutorsAndTakeOneSlotEach) {
+  TempDir dir("gpurf_test_cache_camp_many");
+  constexpr int kThreads = 2;
+  constexpr int kWorkers = 1;
+  constexpr size_t kCampaigns = 100;
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  // Serial sims: a sharded sim adds its own (globally gated) shard crew,
+  // which is not what this test counts.
+  Engine engine(EngineOptions()
+                    .with_threads(kThreads)
+                    .with_sim_shards(1)
+                    .with_cache_dir(dir.path)
+                    .with_async_workers(kWorkers)
+                    .with_max_inflight(128));
+  FaultCampaignRequest creq;
+  creq.sim.mode = wl::SimMode::kCompressedPerfect;
+  creq.sim.scale = wl::Scale::kSample;
+  creq.densities = {0.01};
+  creq.maps_per_density = 1;
+  std::vector<Job> jobs;
+  for (size_t i = 0; i < kCampaigns; ++i) {
+    creq.base_seed = i + 1;
+    jobs.push_back(engine.submit(JobRequest::fault_campaign("DWT2D", creq)));
+  }
+  // The first point still tunes DWT2D on a cold cache, so all are in
+  // flight, each counted once, on the pool and executor threads alone.
+  EXPECT_EQ(engine.inflight(), kCampaigns);
+  EXPECT_LE(process_threads(), before + (kThreads - 1) + kWorkers);
+  const MetricsSnapshot m = engine.metrics_snapshot();
+  EXPECT_EQ(m.queue_depth + m.jobs_running, kCampaigns);
+  EXPECT_LE(m.jobs_running, 1u);
+  // The first few run through; the rest are cancelled while queued.
+  for (size_t i = 0; i < 3; ++i) {
+    jobs[i].wait();
+    ASSERT_EQ(jobs[i].state(), JobState::kDone) << jobs[i].status().to_string();
+    auto res = jobs[i].campaign_result();
+    ASSERT_TRUE(res.ok()) << res.status().to_string();
+    ASSERT_EQ(res->points.size(), 1u);
+    EXPECT_EQ(res->points[0].state, JobState::kDone) << res->points[0].error;
+  }
+  EXPECT_LE(process_threads(), before + (kThreads - 1) + kWorkers);
+  for (auto& j : jobs) j.cancel();
+  for (auto& j : jobs) j.wait();
+  EXPECT_EQ(engine.inflight(), 0u);
+  const MetricsSnapshot end = engine.metrics_snapshot();
+  EXPECT_EQ(end.jobs_done + end.jobs_cancelled, kCampaigns);
+}
+
+TEST(FaultCampaign, InvalidCampaignIsTerminalAtSubmitAndTakesNoSlot) {
+  TempDir dir("gpurf_test_cache_camp_invalid");
+  Engine engine(EngineOptions()
+                    .with_threads(1)
+                    .with_cache_dir(dir.path)
+                    .with_async_workers(1)
+                    .with_max_inflight(1));
+  // The only slot is held, so a campaign that waited for one would block.
+  Job blocker = engine.submit(JobRequest::pipeline("GICOV"));
+  ASSERT_EQ(engine.inflight(), 1u);
+
+  FaultCampaignRequest valid;
+  valid.sim.mode = wl::SimMode::kCompressedPerfect;
+  valid.sim.scale = wl::Scale::kSample;
+  valid.densities = {0.01};
+  valid.maps_per_density = 1;
+  FaultCampaignRequest baseline = valid;
+  baseline.sim.mode = wl::SimMode::kOriginal;
+  FaultCampaignRequest no_densities = valid;
+  no_densities.densities.clear();
+  FaultCampaignRequest slow_writeback = valid;
+  slow_writeback.sim.compression =
+      sim::CompressionConfig::with_writeback_delay(65);
+  FaultCampaignRequest too_many = valid;
+  too_many.densities = {0.01, 0.02};
+  too_many.maps_per_density = std::numeric_limits<int>::max();
+  TransientCampaignRequest no_rates;
+  no_rates.flip_rates.clear();
+  const struct {
+    JobRequest req;
+    StatusCode code;
+    const char* message;
+  } cases[] = {
+      {JobRequest::fault_campaign("NoSuchKernel", valid),
+       StatusCode::kNotFound, "unknown workload"},
+      {JobRequest::fault_campaign("DWT2D", baseline),
+       StatusCode::kInvalidArgument, "requires a compressed mode"},
+      {JobRequest::fault_campaign("DWT2D", no_densities),
+       StatusCode::kInvalidArgument, "has no density points"},
+      {JobRequest::fault_campaign("DWT2D", slow_writeback),
+       StatusCode::kInvalidArgument, "writeback_delay 65"},
+      {JobRequest::fault_campaign("DWT2D", too_many),
+       StatusCode::kInvalidArgument, "overflows int"},
+      {JobRequest::transient_campaign("DWT2D", no_rates),
+       StatusCode::kInvalidArgument, "has no flip-rate points"},
+  };
+  for (const auto& c : cases) {
+    Job job = engine.submit(c.req);
+    EXPECT_TRUE(job.done()) << c.message;
+    EXPECT_EQ(job.state(), JobState::kDone) << c.message;
+    EXPECT_EQ(job.status().code(), c.code) << job.status().to_string();
+    EXPECT_NE(job.status().message().find(c.message), std::string::npos)
+        << job.status().to_string();
+    EXPECT_EQ(engine.inflight(), 1u) << c.message;
+  }
+  blocker.cancel();
+  blocker.wait();
+  EXPECT_EQ(engine.inflight(), 0u);
+  EXPECT_EQ(engine.metrics_snapshot().jobs_failed, std::size(cases));
 }
 
 // ------------------------------------------- degraded disk-cache dir

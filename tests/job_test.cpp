@@ -198,6 +198,38 @@ TEST(Job, CancelWhileQueuedIsImmediate) {
   blocker.wait();
 }
 
+TEST(Job, CancelWhileQueuedFreesItsSlot) {
+  TempDir dir("gpurf_job_cache_qslot");
+  Engine engine(EngineOptions()
+                    .with_threads(1)
+                    .with_cache_dir(dir.path)
+                    .with_async_workers(1)
+                    .with_max_inflight(2));
+  // The blocker holds the only worker (a cold GICOV tune runs for
+  // seconds) and one slot; the queued job holds the other.
+  Job blocker = engine.submit(JobRequest::pipeline("GICOV"));
+  Job queued = engine.submit(JobRequest::pipeline("Hotspot"));
+  ASSERT_EQ(engine.inflight(), 2u);
+  queued.cancel();
+  EXPECT_EQ(queued.state(), JobState::kCancelled);
+  EXPECT_EQ(engine.inflight(), 1u);
+  // So a submit with a short deadline finds the freed slot instead of
+  // waiting for the worker to reach the cancelled entry.
+  Job third =
+      engine.submit(JobRequest::pipeline("DWT2D").with_deadline_ms(200));
+  EXPECT_EQ(third.state(), JobState::kQueued) << third.status().to_string();
+  EXPECT_EQ(engine.inflight(), 2u);
+  third.cancel();
+  blocker.cancel();
+  blocker.wait();
+  EXPECT_EQ(engine.inflight(), 0u);
+  // Every job is counted once, whichever path released its slot.
+  const MetricsSnapshot m = engine.metrics_snapshot();
+  EXPECT_EQ(m.jobs_cancelled,
+            blocker.state() == JobState::kCancelled ? 3u : 2u);
+  EXPECT_EQ(m.jobs_submitted, 3u);
+}
+
 TEST(Job, CancelMidFlightShardedSimulate) {
   // ISSUE 5: the cancel/progress checkpoint threads through the sharded
   // simulator's per-cycle barrier, so cancelling a multi-SM simulation

@@ -496,7 +496,7 @@ int faults(std::vector<std::string> names) {
 // transient_campaign per config then injects flips at equal accelerated
 // rates and reports where they landed.  A point whose corrupted register
 // fed an address and tripped a bounds check prints as a DUE (detected
-// unrecoverable error) with the child's error.
+// unrecoverable error) with the point's error.
 int soft(std::vector<std::string> names) {
   // A flip in a loop bound can keep a kernel running until the cycle cap.
   // No fault-free sample-scale launch takes 60k cycles, so a run past 1M
