@@ -9,6 +9,7 @@
 #include "common/bitutil.hpp"
 #include "common/error.hpp"
 #include "rf/fault_map.hpp"
+#include "rf/slices.hpp"
 
 namespace gpurf::alloc {
 
@@ -205,7 +206,7 @@ AllocationResult allocate_slices(const ir::Kernel& k,
     // faults a fresh register may itself be partially broken, so keep
     // growing — a split against an existing register can still resolve it
     // — up to the indirection table's 256-register cap.
-    while (!placed && phys.size() < 256) {
+    while (!placed && phys.size() < gpurf::rf::kPhysRegs) {
       phys.emplace_back();
       placed = try_place(it, e);
     }
@@ -239,7 +240,7 @@ AllocationResult allocate_slices(const ir::Kernel& k,
   }
 
   res.num_physical_regs = static_cast<uint32_t>(phys.size());
-  GPURF_CHECK(res.num_physical_regs <= 256,
+  GPURF_CHECK(res.num_physical_regs <= gpurf::rf::kPhysRegs,
               "allocation exceeds the 256-entry indirection table");
   if (faults)
     for (uint32_t p = 0; p < res.num_physical_regs; ++p)

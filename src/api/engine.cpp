@@ -127,6 +127,27 @@ Status stop_status(const common::CancelledError& e, const std::string& what) {
              : Status::Cancelled(what + ": " + e.what());
 }
 
+/// The Status of the exception being handled, for a public entry point's
+/// `catch (...)`, so none lets an exception escape.  A cooperative stop
+/// maps to kCancelled / kDeadlineExceeded; gpurf::Error, the core's
+/// recoverable, input-dependent tier (GPURF_CHECK: e.g. a workload whose
+/// metric fails at full precision), to FailedPrecondition; anything else
+/// escaping the core to Internal.  GPURF_ASSERT (state corruption) still
+/// aborts by design.  The message reads "<verb> '<name>': <what>".
+Status exception_status(std::string_view verb, std::string_view name) {
+  const std::string what =
+      std::string(verb) + " '" + std::string(name) + "'";
+  try {
+    throw;
+  } catch (const common::CancelledError& e) {
+    return stop_status(e, what);
+  } catch (const Error& e) {
+    return Status::FailedPrecondition(what + ": " + e.what());
+  } catch (const std::exception& e) {
+    return Status::Internal(what + ": " + e.what());
+  }
+}
+
 /// Terminal JobState matching a terminal Status.
 JobState terminal_state_for(const Status& st) {
   switch (st.code()) {
@@ -268,11 +289,6 @@ StatusOr<const workloads::Workload*> Engine::workload(
 StatusOr<const workloads::PipelineResult*> Engine::pipeline_impl(
     const workloads::Workload& w, common::CancelToken* cancel) {
   common::ScopedPool scope(&pool_);
-  // gpurf::Error is the core's recoverable, input-dependent tier
-  // (GPURF_CHECK) — e.g. a workload whose metric fails at full precision —
-  // so it maps to FailedPrecondition; a cooperative stop maps to
-  // kCancelled / kDeadlineExceeded; anything else escaping the core is
-  // Internal.  GPURF_ASSERT (state corruption) still aborts by design.
   try {
     // Tune-stage latency: the memo get covers the whole tuning path on a
     // miss and a map lookup on a hit, so memo hits show up directly as a
@@ -281,14 +297,8 @@ StatusOr<const workloads::PipelineResult*> Engine::pipeline_impl(
     const workloads::PipelineResult* pr = &pipelines_.get(w, cancel);
     metrics_.tune_hist.record_us(wall_us_since(t0));
     return pr;
-  } catch (const common::CancelledError& e) {
-    return stop_status(e, std::string("pipeline '") + w.spec().name + "'");
-  } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("pipeline '") +
-                                      w.spec().name + "': " + e.what());
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("pipeline '") + w.spec().name +
-                            "': " + e.what());
+  } catch (...) {
+    return exception_status("pipeline", w.spec().name);
   }
 }
 
@@ -311,12 +321,8 @@ StatusOr<workloads::PipelineResult> Engine::compute_pipeline(
   opt.use_disk_cache = false;
   try {
     return workloads::compute_pipeline(w, opt);
-  } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("pipeline '") +
-                                      w.spec().name + "': " + e.what());
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("pipeline '") + w.spec().name +
-                            "': " + e.what());
+  } catch (...) {
+    return exception_status("pipeline", w.spec().name);
   }
 }
 
@@ -525,14 +531,8 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     }
     if (soft_quality) score_soft(result, &adj);
     return result;
-  } catch (const common::CancelledError& e) {
-    return stop_status(e, std::string("simulate '") + w.spec().name + "'");
-  } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("simulate '") +
-                                      w.spec().name + "': " + e.what());
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("simulate '") + w.spec().name +
-                            "': " + e.what());
+  } catch (...) {
+    return exception_status("simulate", w.spec().name);
   }
 }
 
@@ -576,9 +576,8 @@ Status Engine::verify_kernel(const ir::Kernel& k,
       }
     }
     return Status::Ok();
-  } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("verify '") + k.name +
-                                      "': " + e.what());
+  } catch (...) {
+    return exception_status("verify", k.name);
   }
 }
 
@@ -598,12 +597,8 @@ StatusOr<analysis::KernelReport> Engine::analyze(const ir::Kernel& k) {
     analysis::apply_memory_findings(rep, ma, analysis::prove_in_bounds(ma, 0, shw),
                                     0, shw, /*waived=*/false);
     return rep;
-  } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("analyze '") + k.name +
-                                      "': " + e.what());
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("analyze '") + k.name + "': " +
-                            e.what());
+  } catch (...) {
+    return exception_status("analyze", k.name);
   }
 }
 
@@ -619,12 +614,8 @@ StatusOr<analysis::KernelReport> Engine::analyze(const workloads::Workload& w) {
     analysis::apply_memory_findings(
         *rep, proofs->mem, proofs->proven, proofs->gmem_words,
         analysis::shared_words(w.kernel()), w.spec().assume_disjoint);
-  } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("analyze '") +
-                                      w.spec().name + "': " + e.what());
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("analyze '") + w.spec().name +
-                            "': " + e.what());
+  } catch (...) {
+    return exception_status("analyze", w.spec().name);
   }
   return rep;
 }
@@ -643,9 +634,8 @@ StatusOr<tuning::TuneResult> Engine::tune(const ir::Kernel& k,
   topt.level = level;
   try {
     return tuning::tune_precision(k, probe, topt);
-  } catch (const Error& e) {
-    return Status::FailedPrecondition(std::string("tune '") + k.name +
-                                      "': " + e.what());
+  } catch (...) {
+    return exception_status("tune", k.name);
   }
 }
 

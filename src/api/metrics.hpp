@@ -16,8 +16,8 @@
 // ISSUE 8 adds per-stage latency histograms: fixed-bucket log2 histograms
 // over microseconds, recorded lock-free.  The Engine records queue wait
 // (submit -> start), tune (pipeline memo get, hit or miss) and sim (the
-// cycle-level simulation proper); the Server records serialize (request
-// line -> response line built).  Every response envelope carries the
+// cycle-level simulation proper); the Server records serialize (the op
+// has its outcome -> response line built).  Every response envelope carries the
 // summary percentiles; {"op":"histograms"} exports the full buckets.
 
 #include <array>

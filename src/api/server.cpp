@@ -29,38 +29,6 @@ namespace {
 
 namespace wl = gpurf::workloads;
 
-/// Response envelope builders: every reply — success or error — embeds the
-/// Engine's metrics snapshot, latency histograms included.
-std::string envelope_error(const std::string& metrics, const Status& st,
-                           int64_t retry_after_ms = -1) {
-  JsonWriter w;
-  w.begin_object();
-  w.field("ok", false);
-  w.begin_object("error");
-  w.field("code", status_code_name(st.code()));
-  w.field("message", st.message());
-  if (retry_after_ms >= 0) w.field("retry_after_ms", retry_after_ms);
-  w.end_object();
-  w.raw("metrics", metrics);
-  w.end_object();
-  return w.str();
-}
-
-/// Start a success envelope; the caller adds payload fields, then calls
-/// envelope_finish.
-JsonWriter envelope_begin() {
-  JsonWriter w;
-  w.begin_object();
-  w.field("ok", true);
-  return w;
-}
-
-std::string envelope_finish(const std::string& metrics, JsonWriter& w) {
-  w.raw("metrics", metrics);
-  w.end_object();
-  return w.str();
-}
-
 /// Read the optional integer wire field `key` into `out`.  An absent field
 /// leaves `out` as it is; a value that is not a number, is fractional or
 /// lies outside [lo, hi] is INVALID_ARGUMENT naming the field.  Each cast
@@ -461,11 +429,9 @@ void Server::serve_connection(int fd, uint64_t conn_id) {
   // complete line, then drop the connection — there is no way to
   // resynchronise a stream mid-oversized-line.
   const auto reject_oversized = [&] {
-    send_all(fd, envelope_error(
-                     metrics_json_now(),
-                     Status::InvalidArgument(
-                         "request exceeds max_request_bytes (" +
-                         std::to_string(opts_.max_request_bytes) + ")")) +
+    send_all(fd, error_envelope(Status::InvalidArgument(
+                     "request exceeds max_request_bytes (" +
+                     std::to_string(opts_.max_request_bytes) + ")")) +
                      "\n");
   };
   std::string buf;
@@ -535,19 +501,50 @@ std::string Server::metrics_json_now() const {
   return to_json(m);
 }
 
+/// A response envelope under construction.  Opening one marks the moment
+/// the op has its outcome; the caller adds the payload fields, then
+/// finish_envelope() closes it.
+struct Server::Envelope : JsonWriter {
+  const std::chrono::steady_clock::time_point opened =
+      std::chrono::steady_clock::now();
+  explicit Envelope(bool ok = true) {
+    begin_object();
+    field("ok", ok);
+  }
+};
+
+std::string Server::finish_envelope(Envelope& w) {
+  w.raw("metrics", metrics_json_now());
+  w.end_object();
+  serialize_hist_.record_us(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - w.opened)
+          .count()));
+  return w.str();
+}
+
+std::string Server::error_envelope(const Status& st, int64_t retry_after_ms) {
+  Envelope w(false);
+  w.begin_object("error");
+  w.field("code", status_code_name(st.code()));
+  w.field("message", st.message());
+  if (retry_after_ms >= 0) w.field("retry_after_ms", retry_after_ms);
+  w.end_object();
+  return finish_envelope(w);
+}
+
 std::string Server::handle_request_line(const std::string& line) {
   return handle_request(line, nullptr);
 }
 
 std::string Server::handle_request(const std::string& line, SendLineFn* push) {
-  const auto t0 = std::chrono::steady_clock::now();
   std::string resp;
   StatusOr<JsonValue> parsed = parse_json(line);
   if (!parsed.ok()) {
-    resp = envelope_error(metrics_json_now(), parsed.status());
+    resp = error_envelope(parsed.status());
   } else if (!parsed->is_object()) {
-    resp = envelope_error(metrics_json_now(),
-                          Status::InvalidArgument("request must be an object"));
+    resp =
+        error_envelope(Status::InvalidArgument("request must be an object"));
   } else {
     const JsonValue& req = *parsed;
     const std::string op = req.get("op") ? req.get("op")->as_string() : "";
@@ -560,37 +557,34 @@ std::string Server::handle_request(const std::string& line, SendLineFn* push) {
       if (!opts_.auth_tokens.empty() &&
           std::find(opts_.auth_tokens.begin(), opts_.auth_tokens.end(),
                     token) == opts_.auth_tokens.end()) {
-        resp = envelope_error(
-            metrics_json_now(),
-            Status::Unauthenticated(token.empty()
-                                        ? "missing 'token'"
-                                        : "unrecognised auth token"));
+        resp = error_envelope(Status::Unauthenticated(
+            token.empty() ? "missing 'token'" : "unrecognised auth token"));
       } else if (op == "ping") {
-        JsonWriter w = envelope_begin();
+        Envelope w;
         w.field("pong", true);
-        resp = envelope_finish(metrics_json_now(), w);
+        resp = finish_envelope(w);
       } else if (op == "list") {
-        JsonWriter w = envelope_begin();
+        Envelope w;
         w.begin_array("workloads");
         for (const auto& n : engine_.workload_names()) w.element(n);
         w.end_array();
-        resp = envelope_finish(metrics_json_now(), w);
+        resp = finish_envelope(w);
       } else if (op == "metrics") {
-        JsonWriter w = envelope_begin();
-        resp = envelope_finish(metrics_json_now(), w);
+        Envelope w;
+        resp = finish_envelope(w);
       } else if (op == "histograms") {
         // Full bucket arrays per latency stage (summaries ride in every
         // envelope's metrics object; this op is for plotting).
+        Envelope w;
         MetricsSnapshot m = engine_.metrics_snapshot();
         m.serialize = serialize_hist_.snapshot();
-        JsonWriter w = envelope_begin();
         w.begin_object("histograms");
         w.raw("queue_wait", to_json(m.queue_wait, true));
         w.raw("tune", to_json(m.tune, true));
         w.raw("sim", to_json(m.sim, true));
         w.raw("serialize", to_json(m.serialize, true));
         w.end_object();
-        resp = envelope_finish(to_json(m), w);
+        resp = finish_envelope(w);
       } else if (op == "submit") {
         resp = handle_submit(req, token);
       } else if (op == "status" || op == "wait" || op == "cancel" ||
@@ -613,36 +607,29 @@ std::string Server::handle_request(const std::string& line, SendLineFn* push) {
                        : StatusOr<analysis::KernelReport>(k.status());
         }
         if (rep.ok()) {
-          JsonWriter w = envelope_begin();
+          Envelope w;
           w.raw("report", to_json(*rep));
-          resp = envelope_finish(metrics_json_now(), w);
+          resp = finish_envelope(w);
         } else {
-          resp = envelope_error(metrics_json_now(), rep.status());
+          resp = error_envelope(rep.status());
         }
       } else if (op == "shutdown") {
         shutdown_.store(true, std::memory_order_release);
-        JsonWriter w = envelope_begin();
+        Envelope w;
         w.field("shutting_down", true);
-        resp = envelope_finish(metrics_json_now(), w);
+        resp = finish_envelope(w);
       } else {
-        resp = envelope_error(
-            metrics_json_now(),
-            Status::InvalidArgument(
-                "unknown op '" + op +
-                "' (ping|list|metrics|histograms|submit|status|wait|cancel|"
-                "watch|analyze|shutdown)"));
+        resp = error_envelope(Status::InvalidArgument(
+            "unknown op '" + op +
+            "' (ping|list|metrics|histograms|submit|status|wait|cancel|"
+            "watch|analyze|shutdown)"));
       }
     } catch (const Error& e) {
-      resp = envelope_error(metrics_json_now(),
-                            Status::FailedPrecondition(e.what()));
+      resp = error_envelope(Status::FailedPrecondition(e.what()));
     } catch (const std::exception& e) {
-      resp = envelope_error(metrics_json_now(), Status::Internal(e.what()));
+      resp = error_envelope(Status::Internal(e.what()));
     }
   }
-  serialize_hist_.record_us(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
   return resp;
 }
 
@@ -652,15 +639,15 @@ std::string Server::handle_submit(const JsonValue& req,
       req.get("kind") ? req.get("kind")->as_string("pipeline") : "pipeline";
   const JsonValue* wlname = req.get("workload");
   if (!wlname || !wlname->is_string())
-    return envelope_error(metrics_json_now(),
-                          Status::InvalidArgument("submit requires 'workload'"));
+    return error_envelope(
+        Status::InvalidArgument("submit requires 'workload'"));
   JobRequest jr;
   if (kind == "pipeline") {
     jr = JobRequest::pipeline(wlname->as_string());
   } else if (kind == "simulate") {
     SimRequest sr;
     const Status st = parse_sim_request(req, sr);
-    if (!st.ok()) return envelope_error(metrics_json_now(), st);
+    if (!st.ok()) return error_envelope(st);
     jr = JobRequest::simulate(wlname->as_string(), sr);
   } else if (kind == "fault_campaign") {
     FaultCampaignRequest cr;
@@ -671,7 +658,7 @@ std::string Server::handle_submit(const JsonValue& req,
     if (st.ok()) st = parse_number_array(req, "densities", cr.densities);
     if (st.ok()) st = read_int(req, "maps_per_density", cr.maps_per_density);
     if (st.ok()) st = read_int(req, "base_seed", cr.base_seed);
-    if (!st.ok()) return envelope_error(metrics_json_now(), st);
+    if (!st.ok()) return error_envelope(st);
     if (const JsonValue* q = req.get("quality_floor"))
       cr.quality_floor = q->as_double(0.0);
     jr = JobRequest::fault_campaign(wlname->as_string(), std::move(cr));
@@ -681,14 +668,12 @@ std::string Server::handle_submit(const JsonValue& req,
     if (st.ok()) st = parse_number_array(req, "flip_rates", tr.flip_rates);
     if (st.ok()) st = read_int(req, "seeds_per_rate", tr.seeds_per_rate);
     if (st.ok()) st = read_int(req, "base_seed", tr.base_seed);
-    if (!st.ok()) return envelope_error(metrics_json_now(), st);
+    if (!st.ok()) return error_envelope(st);
     jr = JobRequest::transient_campaign(wlname->as_string(), std::move(tr));
   } else {
-    return envelope_error(
-        metrics_json_now(),
-        Status::InvalidArgument(
-            "unknown kind '" + kind +
-            "' (pipeline|simulate|fault_campaign|transient_campaign)"));
+    return error_envelope(Status::InvalidArgument(
+        "unknown kind '" + kind +
+        "' (pipeline|simulate|fault_campaign|transient_campaign)"));
   }
   Status st = read_int(req, "priority", jr.priority,
                        std::numeric_limits<int>::min());
@@ -700,7 +685,7 @@ std::string Server::handle_submit(const JsonValue& req,
   // writeback delay above its cap, a campaign too large to count): the
   // submit itself reports the error instead of parking a doomed job.
   if (st.ok()) st = engine_.check_request(jr);
-  if (!st.ok()) return envelope_error(metrics_json_now(), st);
+  if (!st.ok()) return error_envelope(st);
 
   // Per-token quotas (ISSUE 8): a token-bucket on submit rate and a cap
   // on unfinished jobs, both rejecting with RESOURCE_EXHAUSTED and a
@@ -726,8 +711,7 @@ std::string Server::handle_submit(const JsonValue& req,
       if (ts->bucket < 1.0) {
         const int64_t retry_ms = static_cast<int64_t>(
             std::ceil((1.0 - ts->bucket) / opts_.token_rate * 1000.0));
-        return envelope_error(
-            metrics_json_now(),
+        return error_envelope(
             Status::ResourceExhausted("submit rate quota exceeded for token"),
             std::max<int64_t>(1, retry_ms));
       }
@@ -743,8 +727,7 @@ std::string Server::handle_submit(const JsonValue& req,
       const int64_t mean_ms =
           term ? static_cast<int64_t>(m.job_wall_us_total / term / 1000)
                : 100;
-      return envelope_error(
-          metrics_json_now(),
+      return error_envelope(
           Status::ResourceExhausted(
               std::string("token in-flight quota (") +
               std::to_string(opts_.token_max_inflight) + ") exceeded"),
@@ -774,9 +757,9 @@ std::string Server::handle_submit(const JsonValue& req,
     });
   }
 
-  JsonWriter w = envelope_begin();
+  Envelope w;
   write_job_fields(w, job);
-  return envelope_finish(metrics_json_now(), w);
+  return finish_envelope(w);
 }
 
 std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
@@ -785,9 +768,9 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
   const Status st =
       req.get("job") ? read_int(req, "job", id)
                      : Status::InvalidArgument("'" + op + "' requires 'job'");
-  if (!st.ok()) return envelope_error(metrics_json_now(), st);
+  if (!st.ok()) return error_envelope(st);
   auto job = engine_.find_job(id);
-  if (!job.ok()) return envelope_error(metrics_json_now(), job.status());
+  if (!job.ok()) return error_envelope(job.status());
 
   const bool watch = op == "watch";
   if (op == "cancel") {
@@ -830,7 +813,7 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
     }
   }
 
-  JsonWriter w = envelope_begin();
+  Envelope w;
   if (watch) w.field("event", "terminal");
   write_job_fields(w, *job);
 
@@ -839,7 +822,7 @@ std::string Server::handle_job_op(const JsonValue& req, const std::string& op,
     const std::string result = result_json_for(*job);
     if (!result.empty()) w.raw("result", result);
   }
-  return envelope_finish(metrics_json_now(), w);
+  return finish_envelope(w);
 }
 
 int64_t envelope_retry_after_ms(const JsonValue& envelope) {

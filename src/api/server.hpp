@@ -72,7 +72,7 @@
 //
 // where "metrics" is the Engine's MetricsSnapshot (counters plus
 // per-stage latency summaries: queue_wait / tune / sim from the Engine,
-// serialize recorded here per request) and error codes are the StatusCode
+// serialize recorded here per envelope built) and error codes are the StatusCode
 // names from api/status.hpp.  Quota and queue-capacity rejections
 // (RESOURCE_EXHAUSTED) carry "retry_after_ms" — a structured back-off
 // hint clients read via envelope_retry_after_ms().
@@ -192,6 +192,15 @@ class Server {
   /// "metrics" JSON.
   std::string metrics_json_now() const;
 
+  /// Response envelopes.  Every reply, success or error, closes through
+  /// finish_envelope(), which embeds the metrics and records the
+  /// serialize span: from the moment the op has its outcome (the envelope
+  /// opens) to the finished response line.  A blocking wait or watch, a
+  /// submit waiting for a slot and the op's own work are not in it.
+  struct Envelope;
+  std::string finish_envelope(Envelope& w);
+  std::string error_envelope(const Status& st, int64_t retry_after_ms = -1);
+
   Engine& engine_;
   ServerOptions opts_;
   int listen_fd_ = -1;       ///< AF_UNIX listener
@@ -202,7 +211,7 @@ class Server {
   std::atomic<bool> shutdown_{false};
   std::thread accept_thread_;      ///< unix listener
   std::thread tcp_accept_thread_;  ///< tcp listener
-  /// Serialize-stage latency (request line in -> response text built).
+  /// Serialize-stage latency (envelope opened -> response line built).
   LatencyHistogram serialize_hist_;
   /// Per-token quota state.  shared_ptr: job terminal listeners decrement
   /// a token's in-flight count and may fire after this Server died (the

@@ -1,12 +1,10 @@
 #include "rf/compressed_rf.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/error.hpp"
-#include "rf/value_converter.hpp"
-#include "rf/value_extractor.hpp"
-#include "rf/value_truncator.hpp"
+#include "rf/indirection_table.hpp"
+#include "rf/operand_codec.hpp"
 
 namespace gpurf::rf {
 
@@ -20,11 +18,19 @@ CompressedRegisterFile::CompressedRegisterFile(
       storage_(RegisterFileGeom{
           16,
           static_cast<int>((num_phys_regs * warps + 15) / 16) + 1, 1024}) {
-  src_table_.load(table_);
-  dst_table_.load(table_);  // identical content, separate structure (§3.2.2)
-  for (const IndirectionEntry& e : table_)
-    if (e.valid && e.spilled)
+  GPURF_CHECK(table_.size() <= kIndirectionEntries,
+              "kernel uses more than 256 architectural registers");
+  for (const IndirectionEntry& e : table_) {
+    if (!e.valid) continue;
+    // Spill slots are a separate space, not addressed through the table.
+    if (e.spilled) {
       num_spill_ = std::max(num_spill_, e.r0.phys_reg + 1);
+      continue;
+    }
+    GPURF_CHECK(e.r0.phys_reg < kPhysRegs &&
+                    (!e.split || e.r1.phys_reg < kPhysRegs),
+                "physical register id exceeds 8-bit entry field");
+  }
   spill_.assign(size_t(num_spill_) * warps, WarpRegister{});
 }
 
@@ -44,28 +50,19 @@ void CompressedRegisterFile::write_operand(uint32_t warp, uint32_t arch_reg,
     ++stats_.spill_accesses;
     return;
   }
-  // Destination indirection lookup (content equals the packed entry).
-  (void)dst_table_.lookup(arch_reg);
-
-  TruncateSpec spec;
-  spec.mask0 = e.r0.mask;
-  spec.mask1 = e.split ? e.r1.mask : 0;
-  spec.data_slices = e.slices;
-  spec.is_float = e.is_float;
-  if (e.is_float) spec.float_fmt = gpurf::fp::format_for_bits(e.float_bits);
-
-  const auto pieces = warp_truncate(values, spec);
-
   WarpRegister img0{}, img1{};
+  TruncateResult lane;
   for (int l = 0; l < 32; ++l) {
-    img0[l] = pieces[l].data0;
-    img1[l] = pieces[l].data1;
+    lane = encode_operand(e, values[l]);
+    img0[l] = lane.data0;
+    img1[l] = lane.data1;
   }
+  // The write masks depend on the entry alone, so every lane's are equal.
   storage_.write_masked(phys_index(warp, e.r0.phys_reg), img0,
-                        pieces[0].bitmask0);
+                        lane.bitmask0);
   if (e.split)
     storage_.write_masked(phys_index(warp, e.r1.phys_reg), img1,
-                          pieces[0].bitmask1);
+                          lane.bitmask1);
 }
 
 WarpRegister CompressedRegisterFile::read_operand(uint32_t warp,
@@ -77,41 +74,18 @@ WarpRegister CompressedRegisterFile::read_operand(uint32_t warp,
     ++stats_.spill_accesses;
     return spill_[spill_index(warp, e.r0.phys_reg)];
   }
-  const PackedEntry& packed = src_table_.lookup(arch_reg);
-  GPURF_ASSERT(packed.m0() == e.r0.mask, "table content mismatch");
-
-  // Fetch + extract piece 0.
-  ExtractSpec s0;
-  s0.mask = e.r0.mask;
-  s0.first_slice = 0;
-  s0.data_slices = e.slices;
-  s0.is_signed = e.is_signed;
   const WarpRegister& f0 = storage_.read(phys_index(warp, e.r0.phys_reg));
-  WarpRegister merged = warp_extract_piece(f0, s0);
   ++stats_.fetches;
-
+  const WarpRegister* f1 = &f0;  // an unsplit operand never reads piece 1
   if (e.split) {
-    ExtractSpec s1 = s0;
-    s1.mask = e.r1.mask;
-    s1.first_slice = static_cast<uint8_t>(std::popcount(e.r0.mask));
-    const WarpRegister& f1 = storage_.read(phys_index(warp, e.r1.phys_reg));
-    const WarpRegister part = warp_extract_piece(f1, s1);
-    // 1024-bit OR gate in the collector unit (§3.2.4).
-    for (int l = 0; l < 32; ++l) merged[l] |= part[l];
+    f1 = &storage_.read(phys_index(warp, e.r1.phys_reg));
     ++stats_.fetches;
     ++stats_.double_fetches;
   }
-
-  // Padding / sign extension (warp-wide: uniform fill mask, per-lane sign
-  // mux select).
-  merged = warp_finalize(merged, s0);
-
-  // Narrow floats pass through the Value Converter.
-  if (e.is_float && e.float_bits != 32) {
-    merged = warp_convert(merged, gpurf::fp::format_for_bits(e.float_bits));
-    ++stats_.conversions;
-  }
-  return merged;
+  WarpRegister out;
+  for (int l = 0; l < 32; ++l) out[l] = decode_operand(e, f0[l], (*f1)[l]);
+  if (needs_conversion(e)) ++stats_.conversions;
+  return out;
 }
 
 }  // namespace gpurf::rf

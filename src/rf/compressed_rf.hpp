@@ -1,8 +1,8 @@
 #pragma once
-// End-to-end functional model of the compressed register file: the full
-// §3.2 read path (source indirection lookup -> banked fetch(es) -> Value
-// Extractor -> CU OR-merge -> Value Converter) and write path (destination
-// indirection lookup -> Value Truncator -> slice-masked writeback).
+// End-to-end functional model of the compressed register file: banked
+// storage plus the operand codec (rf/operand_codec.hpp) for each lane.  A
+// read fetches r0 (and r1 when split) and decodes; a write encodes and
+// drives only the operand's slices (slice-masked writeback).
 //
 // This model is the bit-accurate reference used by the integration tests:
 // storing a value through write_operand() and reading it back through
@@ -11,12 +11,9 @@
 // i.e. exactly what exec::PrecisionMap applies in the interpreter.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "alloc/slice_alloc.hpp"
-#include "fp/format.hpp"
-#include "rf/indirection_table.hpp"
 #include "rf/register_file.hpp"
 
 namespace gpurf::rf {
@@ -31,7 +28,8 @@ struct ReadStats {
 class CompressedRegisterFile {
  public:
   /// `warps` per-SM warp contexts; each warp gets its own copy of the
-  /// kernel's physical register set.
+  /// kernel's physical register set.  The table must fit the indirection
+  /// table: at most 256 entries, physical ids in 8 bits.
   CompressedRegisterFile(
       const std::vector<gpurf::alloc::IndirectionEntry>& table,
       uint32_t num_phys_regs, uint32_t warps);
@@ -56,13 +54,11 @@ class CompressedRegisterFile {
   size_t spill_index(uint32_t warp, uint32_t slot) const;
 
   std::vector<gpurf::alloc::IndirectionEntry> table_;
-  IndirectionTable src_table_;   ///< read path (§3.2.2)
-  IndirectionTable dst_table_;   ///< write path
   uint32_t num_phys_;
   BankedRegisterFile storage_;
   // Uncompressed spill store for entries the allocator could not place in
   // the compressed file (extreme fault densities): full 32-bit words,
-  // bypassing the indirection tables, truncator, extractor and converter.
+  // bypassing the operand codec.
   uint32_t num_spill_ = 0;
   std::vector<WarpRegister> spill_;
   ReadStats stats_;

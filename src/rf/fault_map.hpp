@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "rf/slices.hpp"
+
 namespace gpurf::rf {
 
 /// One permanently faulty 4-bit slice site.
@@ -46,6 +48,8 @@ class FaultMap {
   /// indirection table (Fig. 2), interleaved over the 16 banks.
   static constexpr uint32_t kDefaultBanks = 16;
   static constexpr uint32_t kDefaultRowsPerBank = 16;
+  static_assert(kDefaultBanks * kDefaultRowsPerBank == kPhysRegs,
+                "the default fault map covers the addressable registers");
 
   FaultMap() : FaultMap(kDefaultBanks, kDefaultRowsPerBank) {}
   FaultMap(uint32_t banks, uint32_t rows_per_bank);

@@ -1,44 +1,19 @@
 #include "rf/indirection_table.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
+#include "rf/slices.hpp"
 
 namespace gpurf::rf {
 
 PackedEntry PackedEntry::pack(const gpurf::alloc::IndirectionEntry& e) {
-  GPURF_CHECK(e.r0.phys_reg < 256 && (!e.split || e.r1.phys_reg < 256),
+  GPURF_CHECK(e.r0.phys_reg < kPhysRegs &&
+                  (!e.split || e.r1.phys_reg < kPhysRegs),
               "physical register id exceeds 8-bit entry field");
   PackedEntry p;
   p.raw = (e.r0.phys_reg << 24) | (uint32_t(e.r0.mask) << 16) |
           ((e.split ? e.r1.phys_reg : 0u) << 8) |
           uint32_t(e.split ? e.r1.mask : 0u);
   return p;
-}
-
-IndirectionTable::IndirectionTable() = default;
-
-void IndirectionTable::load(
-    const std::vector<gpurf::alloc::IndirectionEntry>& table) {
-  GPURF_CHECK(table.size() <= kIndirectionEntries,
-              "kernel uses more than 256 architectural registers");
-  entries_.fill(PackedEntry{});
-  // Spilled registers live in the uncompressed spill store and are not
-  // addressed through the table (their slot ids are a separate space).
-  for (size_t i = 0; i < table.size(); ++i)
-    if (table[i].valid && !table[i].spilled)
-      entries_[i] = PackedEntry::pack(table[i]);
-}
-
-const PackedEntry& IndirectionTable::lookup(uint32_t arch_reg) const {
-  GPURF_ASSERT(arch_reg < kIndirectionEntries, "arch reg out of range");
-  return entries_[arch_reg];
-}
-
-int IndirectionTable::cycles_for(const std::vector<uint32_t>& arch_regs) {
-  std::array<int, kIndirectionBanks> per_bank{};
-  for (uint32_t r : arch_regs) ++per_bank[bank_of(r)];
-  return *std::max_element(per_bank.begin(), per_bank.end());
 }
 
 }  // namespace gpurf::rf

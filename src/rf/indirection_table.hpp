@@ -1,27 +1,25 @@
 #pragma once
-// Indirection table (paper §3.2.2, Fig. 2).
+// Indirection table entry format (paper §3.2.2, Fig. 2).
 //
 // 256 architectural-register entries of 32 bits each, organised in 16 SRAM
 // banks so the table matches the register file's throughput (16 accesses
 // per cycle).  Separate but identical source (read-path) and destination
 // (write-path) tables avoid contention; writeback-side bank conflicts are
-// absorbed by a small buffer (§3.2.1).
+// absorbed by a small buffer (§3.2.1).  The timing simulator charges the
+// lookup as CompressionConfig::indirection_read_cycles.
 //
 // Entry encoding (32 bits): | r0:8 | m0:8 | r1:8 | m1:8 |
 // The signed/float annotations travel with the instruction (they are
 // properties of the *operand*, produced by the static framework) and are
 // latched into the extended collector-unit fields (§3.2.4).
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "alloc/slice_alloc.hpp"
 
 namespace gpurf::rf {
 
-constexpr int kIndirectionEntries = 256;
-constexpr int kIndirectionBanks = 16;
+constexpr uint32_t kIndirectionEntries = 256;
 
 /// Packed 32-bit entry.
 struct PackedEntry {
@@ -32,29 +30,6 @@ struct PackedEntry {
   uint8_t m0() const { return static_cast<uint8_t>(raw >> 16); }
   uint8_t r1() const { return static_cast<uint8_t>(raw >> 8); }
   uint8_t m1() const { return static_cast<uint8_t>(raw); }
-};
-
-class IndirectionTable {
- public:
-  IndirectionTable();
-
-  /// Upload a kernel's allocation before launch (§3.2: "the configuration
-  /// of the indirection table is different for each kernel").
-  void load(const std::vector<gpurf::alloc::IndirectionEntry>& table);
-
-  /// Architectural register -> bank (entries interleave across banks).
-  static int bank_of(uint32_t arch_reg) {
-    return static_cast<int>(arch_reg % kIndirectionBanks);
-  }
-
-  const PackedEntry& lookup(uint32_t arch_reg) const;
-
-  /// Conflict model: number of cycles to serve a set of simultaneous
-  /// lookups, given one access port per bank (max over per-bank counts).
-  static int cycles_for(const std::vector<uint32_t>& arch_regs);
-
- private:
-  std::array<PackedEntry, kIndirectionEntries> entries_{};
 };
 
 }  // namespace gpurf::rf

@@ -3,10 +3,9 @@
 // slice-masked writes for the compressed organisation).
 //
 // 16 banks, 64 entries per bank, 1024 bits per entry (one warp register =
-// 32 lanes x 32 bits), one read + one write port per bank.  Physical warp
-// registers map to banks with the GPGPU-Sim interleaving
-// bank = (reg + warp) % 16, so the arbitration behaviour matches the
-// baseline the paper modified.
+// 32 lanes x 32 bits), one read + one write port per bank.  The timing
+// simulator arbitrates the banks (GPGPU-Sim interleaving
+// bank = (reg + warp) % 16, sim/gpu.cpp); this model only stores.
 
 #include <array>
 #include <cstdint>
@@ -33,10 +32,6 @@ struct RegisterFileGeom {
 class BankedRegisterFile {
  public:
   explicit BankedRegisterFile(const RegisterFileGeom& g = RegisterFileGeom{});
-
-  static int bank_of(uint32_t phys_reg, uint32_t warp_id) {
-    return static_cast<int>((phys_reg + warp_id) % 16u);
-  }
 
   /// Full 1024-bit read of one warp register.
   const WarpRegister& read(uint32_t index) const;

@@ -7,10 +7,7 @@
 // slices map in order onto the set bits of mask m0 (ascending bit position)
 // within physical register r0, then onto the set bits of m1 within r1.
 
-#include <array>
-#include <bit>
 #include <cstdint>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -18,6 +15,9 @@ namespace gpurf::rf {
 
 constexpr int kSlicesPerReg = 8;
 constexpr int kSliceBits = 4;
+/// Indirection entries name physical registers in 8-bit fields (Fig. 2),
+/// so the compressed file addresses 256 physical registers per warp.
+constexpr uint32_t kPhysRegs = 1u << 8;
 
 /// Extract the 4-bit slice `s` of `word`.
 inline uint32_t get_slice(uint32_t word, int s) {
@@ -72,38 +72,5 @@ inline uint32_t gather_slices(uint32_t data, uint8_t mask,
   }
   return out;
 }
-
-/// Precompiled slice routing for warp-wide paths: the (mask, first_slice)
-/// control of an operand is uniform across a warp, so the per-slice shift
-/// distances are resolved once per warp access and each pair then costs a
-/// single shift-mask-or per lane.  `build_gather` routes physical -> data
-/// positions (Value Extractor); `build_scatter` routes data -> physical
-/// positions (Value Truncator).  Shifts are in bits.
-struct ShiftPlan {
-  int count = 0;
-  std::array<int8_t, kSlicesPerReg> from{};
-  std::array<int8_t, kSlicesPerReg> to{};
-
-  void build_gather(uint8_t mask, int first_data_slice) {
-    GPURF_ASSERT(first_data_slice >= 0 &&
-                     first_data_slice + std::popcount(mask) <= kSlicesPerReg,
-                 "slice routing escapes the register: first "
-                     << first_data_slice << " mask " << int(mask));
-    count = 0;
-    int j = first_data_slice;
-    for (int s = 0; s < kSlicesPerReg; ++s) {
-      if (!(mask & (1u << s))) continue;
-      from[count] = static_cast<int8_t>(s * kSliceBits);
-      to[count] = static_cast<int8_t>(j * kSliceBits);
-      ++count;
-      ++j;
-    }
-  }
-
-  void build_scatter(uint8_t mask, int first_data_slice) {
-    build_gather(mask, first_data_slice);
-    for (int p = 0; p < count; ++p) std::swap(from[p], to[p]);
-  }
-};
 
 }  // namespace gpurf::rf

@@ -8,11 +8,4 @@ uint32_t tvc_convert(uint32_t narrow_bits, const gpurf::fp::FloatFormat& fmt) {
   return gpurf::float_bits(gpurf::fp::decode(narrow_bits, fmt));
 }
 
-std::array<uint32_t, 32> warp_convert(const std::array<uint32_t, 32>& in,
-                                      const gpurf::fp::FloatFormat& fmt) {
-  std::array<uint32_t, 32> out;
-  for (int l = 0; l < 32; ++l) out[l] = tvc_convert(in[l], fmt);
-  return out;
-}
-
 }  // namespace gpurf::rf

@@ -5,24 +5,17 @@
 // format, as produced by the Value Extractor) to IEEE binary32 before it is
 // forwarded to the execution units.  The hardware provides six parallel
 // Warp Value Converters — enough for two dual-issued instructions with up
-// to three float sources per cycle (§3.2.5) — each one a single-cycle
-// gate network (§3.2.8: within the 0.71 ns Fermi cycle at 45 nm).
+// to three float sources per cycle (§3.2.5; the §6.4 area model counts
+// them) — each one a single-cycle gate network (§3.2.8: within the 0.71 ns
+// Fermi cycle at 45 nm).
 
-#include <array>
 #include <cstdint>
 
 #include "fp/format.hpp"
 
 namespace gpurf::rf {
 
-/// Throughput of the converter block: warp conversions per cycle.
-constexpr int kWarpConvertersPerSM = 6;
-
 /// One thread-level conversion: narrow-format bits -> binary32 bits.
 uint32_t tvc_convert(uint32_t narrow_bits, const gpurf::fp::FloatFormat& fmt);
-
-/// One warp-level conversion (32 threads in parallel).
-std::array<uint32_t, 32> warp_convert(const std::array<uint32_t, 32>& in,
-                                      const gpurf::fp::FloatFormat& fmt);
 
 }  // namespace gpurf::rf

@@ -23,44 +23,4 @@ uint32_t tve_extract(uint32_t fetched, const ExtractSpec& spec) {
   return tve_finalize(tve_extract_piece(fetched, spec), spec);
 }
 
-std::array<uint32_t, 32> warp_extract_piece(
-    const std::array<uint32_t, 32>& fetched, const ExtractSpec& spec) {
-  // Warp-wide word-level gather: the spec is uniform across lanes, so the
-  // slice routing is resolved ONCE into (from, to) shift pairs and each
-  // pair becomes one shift-mask-or over all 32 lanes — 32*k word ops for k
-  // data slices instead of 32 independent 8-step slice walks.  This is the
-  // software analogue of the hardware's single shared control signal
-  // driving 32 TVE muxes (§3.2.3).
-  ShiftPlan plan;
-  plan.build_gather(spec.mask, spec.first_slice);
-
-  std::array<uint32_t, 32> out{};
-  for (int p = 0; p < plan.count; ++p) {
-    const int from = plan.from[p], to = plan.to[p];
-    for (int l = 0; l < 32; ++l)
-      out[l] |= ((fetched[l] >> from) & 0xfu) << to;
-  }
-  return out;
-}
-
-std::array<uint32_t, 32> warp_finalize(const std::array<uint32_t, 32>& merged,
-                                       const ExtractSpec& spec) {
-  std::array<uint32_t, 32> out = merged;
-  const int n = spec.data_slices;
-  if (n >= kSlicesPerReg || !spec.is_signed) return out;
-  // Uniform fill mask for the padding slices; per lane only the sign-bit
-  // test remains (the hardware's 2:1 mux select).
-  const uint32_t fill = slice_mask_to_bits(
-      static_cast<uint8_t>(0xffu << n));
-  const int sign_shift = n * kSliceBits - 1;
-  for (int l = 0; l < 32; ++l)
-    if ((out[l] >> sign_shift) & 1u) out[l] |= fill;
-  return out;
-}
-
-std::array<uint32_t, 32> warp_extract(const std::array<uint32_t, 32>& fetched,
-                                      const ExtractSpec& spec) {
-  return warp_finalize(warp_extract_piece(fetched, spec), spec);
-}
-
 }  // namespace gpurf::rf

@@ -13,7 +13,6 @@
 // extractions are OR-merged inside the collector unit (§3.2.4); the partial
 // results here leave unfilled slices at zero so the OR is exact.
 
-#include <array>
 #include <cstdint>
 
 #include "rf/slices.hpp"
@@ -39,21 +38,5 @@ uint32_t tve_finalize(uint32_t merged, const ExtractSpec& spec);
 
 /// Convenience: extract a whole unsplit operand in one step.
 uint32_t tve_extract(uint32_t fetched, const ExtractSpec& spec);
-
-/// Warp-level extractor: 32 TVEs in parallel.  Implemented warp-wide: the
-/// uniform slice routing is compiled once into a ShiftPlan and applied as
-/// word-level shift-mask-or sweeps across the 32 lanes (the software
-/// analogue of one shared control signal driving 32 muxes).
-std::array<uint32_t, 32> warp_extract_piece(
-    const std::array<uint32_t, 32>& fetched, const ExtractSpec& spec);
-
-/// Warp-level padding / sign extension of OR-merged operands: uniform fill
-/// mask, per-lane 2:1 mux select on the sign bit.
-std::array<uint32_t, 32> warp_finalize(const std::array<uint32_t, 32>& merged,
-                                       const ExtractSpec& spec);
-
-/// Warp-level extraction of a whole unsplit operand.
-std::array<uint32_t, 32> warp_extract(const std::array<uint32_t, 32>& fetched,
-                                      const ExtractSpec& spec);
 
 }  // namespace gpurf::rf

@@ -30,49 +30,4 @@ TruncateResult tvt_truncate(uint32_t value32, const TruncateSpec& spec) {
   return r;
 }
 
-std::array<TruncateResult, 32> warp_truncate(
-    const std::array<uint32_t, 32>& values, const TruncateSpec& spec) {
-  // Warp-wide word-level scatter.  The writeback control (masks, format)
-  // is uniform across lanes, so everything spec-derived — the spec sanity
-  // check, the bitline-enable masks and the slice shift routing — is
-  // computed once per warp; the per-lane work is the float down-convert
-  // (lane data dependent) plus one shift-mask-or per data slice.
-  GPURF_ASSERT(std::popcount(spec.mask0) + std::popcount(spec.mask1) ==
-                   spec.data_slices,
-               "truncate spec: masks do not cover the operand");
-
-  const bool convert = spec.is_float && !spec.float_fmt.is_fp32();
-  std::array<uint32_t, 32> payload;
-  for (int l = 0; l < 32; ++l)
-    payload[l] = convert
-                     ? gpurf::fp::encode(gpurf::bits_float(values[l]),
-                                         spec.float_fmt)
-                     : values[l];
-
-  ShiftPlan plan0;
-  plan0.build_scatter(spec.mask0, 0);
-  const uint32_t bitmask0 = slice_mask_to_bits(spec.mask0);
-
-  std::array<TruncateResult, 32> out{};
-  for (int p = 0; p < plan0.count; ++p) {
-    const int from = plan0.from[p], to = plan0.to[p];
-    for (int l = 0; l < 32; ++l)
-      out[l].data0 |= ((payload[l] >> from) & 0xfu) << to;
-  }
-  for (int l = 0; l < 32; ++l) out[l].bitmask0 = bitmask0;
-
-  if (spec.mask1 != 0) {
-    ShiftPlan plan1;
-    plan1.build_scatter(spec.mask1, std::popcount(spec.mask0));
-    const uint32_t bitmask1 = slice_mask_to_bits(spec.mask1);
-    for (int p = 0; p < plan1.count; ++p) {
-      const int from = plan1.from[p], to = plan1.to[p];
-      for (int l = 0; l < 32; ++l)
-        out[l].data1 |= ((payload[l] >> from) & 0xfu) << to;
-    }
-    for (int l = 0; l < 32; ++l) out[l].bitmask1 = bitmask1;
-  }
-  return out;
-}
-
 }  // namespace gpurf::rf

@@ -12,17 +12,14 @@
 //            co-resident operands in the other slices are preserved.
 //
 // The writeback bus is three instructions wide, so the block contains three
-// Warp Value Truncators of 32 TVTs each.
+// Warp Value Truncators of 32 TVTs each (the §6.4 area model counts them).
 
-#include <array>
 #include <cstdint>
 
 #include "fp/format.hpp"
 #include "rf/slices.hpp"
 
 namespace gpurf::rf {
-
-constexpr int kWarpTruncatorsPerSM = 3;
 
 /// Static per-operand writeback control (from the destination indirection
 /// table + instruction annotation).
@@ -43,9 +40,5 @@ struct TruncateResult {
 };
 
 TruncateResult tvt_truncate(uint32_t value32, const TruncateSpec& spec);
-
-/// Warp-level truncation (32 threads).
-std::array<TruncateResult, 32> warp_truncate(
-    const std::array<uint32_t, 32>& values, const TruncateSpec& spec);
 
 }  // namespace gpurf::rf

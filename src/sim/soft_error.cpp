@@ -1,12 +1,8 @@
 #include "sim/soft_error.hpp"
 
-#include <bit>
 #include <cmath>
 
-#include "fp/format.hpp"
-#include "rf/value_converter.hpp"
-#include "rf/value_extractor.hpp"
-#include "rf/value_truncator.hpp"
+#include "rf/operand_codec.hpp"
 
 namespace gpurf::sim {
 
@@ -38,10 +34,10 @@ bool SoftErrorProcess::next_flip(uint64_t cycle, FlipSite* out) {
   if (next_time_ >= static_cast<double>(cycle + 1)) return false;
   out->sm = rng_.next_below(num_sms_);
   out->warp_slot = rng_.next_below(warp_slots_);
-  out->phys_reg = rng_.next_below(kSoftPhysRegSpace);
-  out->slice = rng_.next_below(kSoftSlicesPerReg);
+  out->phys_reg = rng_.next_below(gpurf::rf::kPhysRegs);
+  out->slice = rng_.next_below(gpurf::rf::kSlicesPerReg);
   out->lane = rng_.next_below(32);
-  out->bit = rng_.next_below(kSoftBitsPerSlice);
+  out->bit = rng_.next_below(gpurf::rf::kSliceBits);
   advance();
   return true;
 }
@@ -75,17 +71,17 @@ SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
   // is expected: non-interfering registers share slices, and at most one
   // owner is live at any program point.
   if (alloc_) {
-    owners_.resize(size_t(kSoftPhysRegSpace) * kSoftSlicesPerReg);
+    owners_.resize(size_t(gpurf::rf::kPhysRegs) * gpurf::rf::kSlicesPerReg);
     for (uint32_t r = 0; r < nregs; ++r) {
       const auto& e = alloc_->table[r];
       if (!e.valid || e.spilled) continue;
       const auto add_piece = [&](const gpurf::alloc::SliceLoc& loc,
                                  bool second) {
-        if (loc.phys_reg >= kSoftPhysRegSpace) return;
-        for (uint32_t s = 0; s < kSoftSlicesPerReg; ++s)
+        if (loc.phys_reg >= gpurf::rf::kPhysRegs) return;
+        for (int s = 0; s < gpurf::rf::kSlicesPerReg; ++s)
           if ((loc.mask >> s) & 1u)
-            owners_[size_t(loc.phys_reg) * kSoftSlicesPerReg + s].push_back(
-                Owner{r, second});
+            owners_[size_t(loc.phys_reg) * gpurf::rf::kSlicesPerReg + s]
+                .push_back(Owner{r, second});
       };
       add_piece(e.r0, false);
       if (e.split) add_piece(e.r1, true);
@@ -107,7 +103,7 @@ SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
 const std::vector<SoftErrorModel::Owner>& SoftErrorModel::owners(
     uint32_t phys_reg, uint32_t slice) const {
   if (owners_.empty()) return no_owner_;  // baseline: identity, not mapped
-  return owners_[size_t(phys_reg) * kSoftSlicesPerReg + slice];
+  return owners_[size_t(phys_reg) * gpurf::rf::kSlicesPerReg + slice];
 }
 
 bool SoftErrorModel::reg_live(uint32_t blk, uint32_t inst,
@@ -138,42 +134,15 @@ bool SoftErrorModel::site_static_dead(uint32_t phys_reg,
 uint32_t SoftErrorModel::corrupt(uint32_t value, uint32_t reg,
                                  bool second_piece, uint32_t slice,
                                  uint32_t bit) const {
-  const uint32_t flip = 1u << (slice * kSoftBitsPerSlice + bit);
+  const uint32_t flip = 1u << (slice * gpurf::rf::kSliceBits + bit);
   if (!alloc_) return value ^ flip;  // full-width storage: raw bit flip
 
-  // Compressed storage: reconstruct the stored payload exactly as the
-  // Value Truncator writes it, strike the bit, and read it back through
-  // the Value Extractor / Value Converter.
+  // Compressed storage: strike the bit in the stored encoding and read the
+  // operand back through the register file's data path.
   const auto& e = alloc_->table[reg];
-  gpurf::rf::TruncateSpec tspec;
-  tspec.mask0 = e.r0.mask;
-  tspec.mask1 = e.split ? e.r1.mask : 0;
-  tspec.data_slices = e.slices;
-  tspec.is_float = e.is_float;
-  if (e.is_float) tspec.float_fmt = gpurf::fp::format_for_bits(e.float_bits);
-  gpurf::rf::TruncateResult tr = gpurf::rf::tvt_truncate(value, tspec);
-  if (second_piece)
-    tr.data1 ^= flip;
-  else
-    tr.data0 ^= flip;
-
-  gpurf::rf::ExtractSpec s0;
-  s0.mask = e.r0.mask;
-  s0.first_slice = 0;
-  s0.data_slices = e.slices;
-  s0.is_signed = e.is_signed;
-  uint32_t merged = gpurf::rf::tve_extract_piece(tr.data0, s0);
-  if (e.split) {
-    gpurf::rf::ExtractSpec s1 = s0;
-    s1.mask = e.r1.mask;
-    s1.first_slice = static_cast<uint8_t>(std::popcount(e.r0.mask));
-    merged |= gpurf::rf::tve_extract_piece(tr.data1, s1);
-  }
-  merged = gpurf::rf::tve_finalize(merged, s0);
-  if (e.is_float && e.float_bits != 32)
-    merged = gpurf::rf::tvc_convert(
-        merged, gpurf::fp::format_for_bits(e.float_bits));
-  return merged;
+  gpurf::rf::TruncateResult stored = gpurf::rf::encode_operand(e, value);
+  (second_piece ? stored.data1 : stored.data0) ^= flip;
+  return gpurf::rf::decode_operand(e, stored.data0, stored.data1);
 }
 
 }  // namespace gpurf::sim

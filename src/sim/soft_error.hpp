@@ -20,18 +20,19 @@
 //    from the instruction-granular dataflow pass (src/analysis/dataflow.*,
 //    PR 9) over the launch's CFG — the same per-point facts the kernel
 //    lint reports.  It also implements the corruption
-//    round-trip: reconstruct the stored (truncated / encoded) payload of
-//    the victim register, flip the struck bit, and decompress back
-//    through the Value Extractor / Value Converter into the architectural
-//    32-bit value — narrow-float decoding can absorb a flip, which is one
-//    of the masking effects the AVF report quantifies.
+//    round-trip through the register file's operand codec
+//    (rf/operand_codec.hpp): encode the victim register's value as the
+//    Value Truncator stores it, flip the struck bit, and decode it back
+//    into the architectural 32-bit value — narrow-float decoding can
+//    absorb a flip, which is one of the masking effects the AVF report
+//    quantifies.
 //
 // The flip site space is fixed — independent of the launch's allocation —
 // so baseline and compressed runs at equal rates see identically
 // distributed strikes and differ only in how many of them land on live
 // bits: (SM, warp slot in [0, max_warps_per_sm), physical register in
-// [0, kSoftPhysRegSpace), slice in [0, 8), lane in [0, 32), bit in
-// [0, 4)).
+// [0, rf::kPhysRegs), slice in [0, 8), lane in [0, 32), bit in [0, 4)) —
+// the permanent rf::FaultMap's default geometry, per warp context.
 
 #include <cstdint>
 #include <vector>
@@ -41,24 +42,19 @@
 #include "analysis/dataflow.hpp"
 #include "common/rng.hpp"
 #include "exec/kernel_analysis.hpp"
+#include "rf/slices.hpp"
 #include "sim/gpu.hpp"
 
 namespace gpurf::sim {
-
-/// Flip site space: matches the permanent rf::FaultMap geometry (16 banks
-/// x 16 rows of 8-slice registers per warp context).
-inline constexpr uint32_t kSoftPhysRegSpace = 256;
-inline constexpr uint32_t kSoftSlicesPerReg = 8;
-inline constexpr uint32_t kSoftBitsPerSlice = 4;
 
 /// One sampled strike.
 struct FlipSite {
   uint32_t sm = 0;
   uint32_t warp_slot = 0;  ///< in [0, max_warps_per_sm)
-  uint32_t phys_reg = 0;   ///< in [0, kSoftPhysRegSpace)
-  uint32_t slice = 0;      ///< in [0, kSoftSlicesPerReg)
+  uint32_t phys_reg = 0;   ///< in [0, rf::kPhysRegs)
+  uint32_t slice = 0;      ///< in [0, rf::kSlicesPerReg)
   uint32_t lane = 0;       ///< in [0, 32)
-  uint32_t bit = 0;        ///< in [0, kSoftBitsPerSlice)
+  uint32_t bit = 0;        ///< in [0, rf::kSliceBits)
 };
 
 class SoftErrorProcess {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 #include "api/engine.hpp"
@@ -230,6 +231,37 @@ entry:
   auto st = engine.verify_kernel(*k);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(Engine, TuneReturnsStatusWhenTheProbeThrows) {
+  // An exception from the caller's probe comes back as INTERNAL with its
+  // message, instead of escaping Engine::tune.
+  struct ThrowingProbe : tuning::QualityProbe {
+    double evaluate(const exec::PrecisionMap&) override {
+      throw std::runtime_error("probe broke");
+    }
+    bool meets(double, quality::QualityLevel) const override { return true; }
+  };
+  Engine engine(EngineOptions().with_threads(1).with_disk_cache(false));
+  auto k = engine.parse_kernel(R"(
+.kernel halve
+.param s32 base
+.reg s32 %a
+.reg f32 %x
+entry:
+  mov.s32 %a, %tid.x
+  add.s32 %a, %a, $base
+  ld.global.f32 %x, [%a]
+  mul.f32 %x, %x, 0.5
+  st.global.f32 [%a], %x
+  ret
+)");
+  ASSERT_TRUE(k.ok()) << k.status().to_string();
+  ThrowingProbe probe;
+  auto tuned = engine.tune(*k, probe, quality::QualityLevel::kPerfect);
+  ASSERT_FALSE(tuned.ok());
+  EXPECT_EQ(tuned.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(tuned.status().message(), "tune 'halve': probe broke");
 }
 
 TEST(Engine, VerifyRejectsUndefinedReadsUnlessWaived) {

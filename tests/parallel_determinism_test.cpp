@@ -10,15 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "alloc/slice_alloc.hpp"
 #include "common/thread_pool.hpp"
-#include "rf/value_extractor.hpp"
-#include "rf/value_truncator.hpp"
 #include "sim/gpu.hpp"
 #include "testing_util.hpp"
 #include "workloads/pipeline.hpp"
@@ -262,60 +259,6 @@ TEST(ThreadPool, SmallerIterationCountThanThreads) {
   gpurf::common::parallel_for(hits.size(),
                               [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-// --------------------------------------------- warp-wide RF path equality
-
-TEST(WarpSlicePaths, ExtractMatchesScalarReference) {
-  for (uint32_t mask = 1; mask < 256; mask += 7) {
-    gpurf::rf::ExtractSpec spec;
-    spec.mask = static_cast<uint8_t>(mask);
-    spec.first_slice = 1;
-    spec.data_slices =
-        static_cast<uint8_t>(std::popcount(mask) + spec.first_slice);
-    if (spec.data_slices > 8) continue;
-    spec.is_signed = (mask % 3) == 0;
-
-    std::array<uint32_t, 32> fetched;
-    for (int l = 0; l < 32; ++l)
-      fetched[l] = 0x9e3779b9u * static_cast<uint32_t>(l + 1) + mask;
-
-    const auto warp = gpurf::rf::warp_extract_piece(fetched, spec);
-    const auto padded = gpurf::rf::warp_finalize(warp, spec);
-    const auto whole = gpurf::rf::warp_extract(fetched, spec);
-    for (int l = 0; l < 32; ++l) {
-      EXPECT_EQ(warp[l], gpurf::rf::tve_extract_piece(fetched[l], spec))
-          << "mask " << mask << " lane " << l;
-      EXPECT_EQ(padded[l], gpurf::rf::tve_extract(fetched[l], spec))
-          << "mask " << mask << " lane " << l;
-      EXPECT_EQ(whole[l], padded[l]) << "mask " << mask << " lane " << l;
-    }
-  }
-}
-
-TEST(WarpSlicePaths, TruncateMatchesScalarReference) {
-  for (uint32_t m0 = 1; m0 < 256; m0 += 11) {
-    gpurf::rf::TruncateSpec spec;
-    spec.mask0 = static_cast<uint8_t>(m0);
-    spec.mask1 = static_cast<uint8_t>((m0 * 5) & 0x3u);  // small second piece
-    spec.data_slices =
-        static_cast<uint8_t>(std::popcount(m0) + std::popcount(spec.mask1));
-    if (spec.data_slices > 8) continue;
-    spec.is_float = false;
-
-    std::array<uint32_t, 32> values;
-    for (int l = 0; l < 32; ++l)
-      values[l] = 0x85ebca6bu * static_cast<uint32_t>(l + 3) + m0;
-
-    const auto warp = gpurf::rf::warp_truncate(values, spec);
-    for (int l = 0; l < 32; ++l) {
-      const auto ref = gpurf::rf::tvt_truncate(values[l], spec);
-      EXPECT_EQ(warp[l].data0, ref.data0) << "m0 " << m0 << " lane " << l;
-      EXPECT_EQ(warp[l].bitmask0, ref.bitmask0) << "m0 " << m0;
-      EXPECT_EQ(warp[l].data1, ref.data1) << "m0 " << m0 << " lane " << l;
-      EXPECT_EQ(warp[l].bitmask1, ref.bitmask1) << "m0 " << m0;
-    }
-  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Tests for the §3.2 hardware models: slice gather/scatter, Value
-// Extractor / Converter / Truncator, indirection-table packing, banked
+// Extractor / Converter / Truncator, indirection-entry packing, banked
 // storage with slice-masked writes, the end-to-end compressed register
-// file, and the §6.4 / §6.5 / §7 analytical models.
+// file (also over every workload's real allocations), and the §6.4 / §6.5
+// / §7 analytical models.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 
+#include "analysis/cfg.hpp"
+#include "analysis/liveness.hpp"
 #include "common/bitutil.hpp"
 #include "common/rng.hpp"
 #include "rf/area_model.hpp"
@@ -18,6 +21,7 @@
 #include "rf/value_converter.hpp"
 #include "rf/value_extractor.hpp"
 #include "rf/value_truncator.hpp"
+#include "testing_util.hpp"
 
 namespace gpurf::rf {
 namespace {
@@ -114,16 +118,6 @@ TEST(Converter, MatchesFormatDecode) {
   }
 }
 
-TEST(Converter, WarpWide) {
-  const auto fmt = gpurf::fp::format_for_bits(12);
-  std::array<uint32_t, 32> in{};
-  for (int l = 0; l < 32; ++l)
-    in[l] = gpurf::fp::encode(0.25f * float(l), fmt);
-  const auto out = warp_convert(in, fmt);
-  for (int l = 0; l < 32; ++l)
-    EXPECT_EQ(bits_float(out[l]), gpurf::fp::quantize(0.25f * float(l), fmt));
-}
-
 TEST(Truncator, FloatConversionStep) {
   TruncateSpec t;
   t.mask0 = 0x0f;
@@ -146,7 +140,7 @@ TEST(Truncator, RejectsInconsistentSpec) {
   EXPECT_DEATH(tvt_truncate(0, t), "masks do not cover");
 }
 
-TEST(IndirectionTable, PackedLayout) {
+TEST(PackedEntry, PackedLayout) {
   gpurf::alloc::IndirectionEntry e;
   e.valid = true;
   e.r0 = {0x12, 0x0f};
@@ -157,21 +151,6 @@ TEST(IndirectionTable, PackedLayout) {
   EXPECT_EQ(p.m0(), 0x0f);
   EXPECT_EQ(p.r1(), 0x34);
   EXPECT_EQ(p.m1(), 0xf0);
-}
-
-TEST(IndirectionTable, BankConflictModel) {
-  // 16 banks; entries interleave by register id (§3.2.2).
-  EXPECT_EQ(IndirectionTable::cycles_for({0, 1, 2, 3}), 1);
-  EXPECT_EQ(IndirectionTable::cycles_for({0, 16, 32}), 3);  // same bank
-  EXPECT_EQ(IndirectionTable::cycles_for({0, 16, 1, 17}), 2);
-  EXPECT_EQ(IndirectionTable::cycles_for({}), 0);
-}
-
-TEST(IndirectionTable, Throughput16PerCycle) {
-  // 16 distinct banks are all served in one cycle (§3.2.8).
-  std::vector<uint32_t> regs;
-  for (uint32_t r = 0; r < 16; ++r) regs.push_back(r);
-  EXPECT_EQ(IndirectionTable::cycles_for(regs), 1);
 }
 
 TEST(RegisterFile, GeometryMatchesTable2) {
@@ -279,6 +258,98 @@ TEST(CompressedRf, PerWarpIsolation) {
   crf.write_operand(1, 0, b);
   EXPECT_EQ(crf.read_operand(0, 0)[7], 0xaaaa5555u);
   EXPECT_EQ(crf.read_operand(1, 0)[7], 0x5555aaaau);
+}
+
+// -------------------------------------------- real workload allocations
+
+using gpurf::alloc::IndirectionEntry;
+
+const std::vector<gpurf::testing::RealAllocation>& real_allocations() {
+  static const auto workloads = gpurf::workloads::make_all_workloads();
+  static const auto allocs = gpurf::testing::real_allocations(workloads);
+  return allocs;
+}
+
+/// 32 random values `e` holds: inside its slices for a narrow integer
+/// (sign-extended when signed), finite floats for a float register.
+WarpRegister random_values(const IndirectionEntry& e, gpurf::Pcg32& rng) {
+  WarpRegister v;
+  const int bits = kSliceBits * e.slices;
+  for (uint32_t& x : v) {
+    if (e.is_float) {
+      x = float_bits(rng.next_float(-1000.f, 1000.f));
+      continue;
+    }
+    x = rng.next_u32();
+    x = e.is_signed ? static_cast<uint32_t>(sign_extend(x, bits))
+                    : x & low_mask(bits);
+  }
+  return v;
+}
+
+/// What a read returns after `v` was written: a narrow float quantized
+/// through its Table-3 format, anything else unchanged.
+WarpRegister read_back(const IndirectionEntry& e, WarpRegister v) {
+  if (e.is_float && e.float_bits != 32)
+    for (uint32_t& x : v)
+      x = float_bits(gpurf::fp::quantize(
+          bits_float(x), gpurf::fp::format_for_bits(e.float_bits)));
+  return v;
+}
+
+TEST(CompressedRf, RealAllocationsRoundTrip) {
+  gpurf::Pcg32 rng(31);
+  int split = 0, signed_narrow = 0, narrow_float = 0, spilled = 0,
+      redirected = 0;
+  for (const auto& a : real_allocations()) {
+    CompressedRegisterFile crf(a.alloc.table, a.alloc.num_physical_regs, 1);
+    for (uint32_t r = 0; r < a.alloc.table.size(); ++r) {
+      const IndirectionEntry& e = a.alloc.table[r];
+      if (!e.valid) continue;
+      split += e.split;
+      signed_narrow += e.is_signed && e.slices < kSlicesPerReg;
+      narrow_float += e.is_float && e.float_bits != 32;
+      spilled += e.spilled;
+      redirected += e.redirected;
+      const WarpRegister v = random_values(e, rng);
+      crf.write_operand(0, r, v);
+      EXPECT_EQ(crf.read_operand(0, r), read_back(e, v))
+          << a.name << " reg " << r;
+    }
+  }
+  // The allocations reach every kind of entry the data path treats apart.
+  EXPECT_GT(split, 0);
+  EXPECT_GT(signed_narrow, 0);
+  EXPECT_GT(narrow_float, 0);
+  EXPECT_GT(spilled, 0);
+  EXPECT_GT(redirected, 0);
+}
+
+TEST(CompressedRf, InterferingRegistersDoNotClobberEachOther) {
+  // The allocator may share slices only between registers that never
+  // interfere: writing one of an interfering pair keeps the other intact.
+  gpurf::Pcg32 rng(37);
+  uint64_t pairs = 0;
+  for (const auto& a : real_allocations()) {
+    const auto cfg = gpurf::analysis::build_cfg(*a.kernel);
+    const auto adj = gpurf::analysis::build_interference(
+        *a.kernel, cfg, gpurf::analysis::compute_liveness(*a.kernel, cfg));
+    const auto& table = a.alloc.table;
+    CompressedRegisterFile crf(table, a.alloc.num_physical_regs, 1);
+    for (uint32_t r = 0; r < table.size(); ++r) {
+      if (!table[r].valid) continue;
+      adj[r].for_each_set([&](size_t s) {
+        if (!table[s].valid) return;
+        const WarpRegister v = random_values(table[r], rng);
+        crf.write_operand(0, r, v);
+        crf.write_operand(0, uint32_t(s), random_values(table[s], rng));
+        EXPECT_EQ(crf.read_operand(0, r), read_back(table[r], v))
+            << a.name << ": reg " << r << " clobbered by reg " << s;
+        ++pairs;
+      });
+    }
+  }
+  EXPECT_GT(pairs, 0u);
 }
 
 // ---------------------------------------------------------------- §6.4 area

@@ -315,6 +315,36 @@ TEST(Serve, HistogramsOpExportsAllStages) {
   server.stop();
 }
 
+TEST(Serve, SerializeTimesEnvelopesNotABlockingWait) {
+  // The serialize histogram times envelope building alone: a wait that
+  // blocks 300 ms on a running job adds only its envelope's microseconds.
+  Engine engine(test_engine_opts());
+  api::Server server(engine, api::ServerOptions{});
+  auto sub = api::parse_json(server.handle_request_line(
+      R"({"op":"submit","kind":"simulate","workload":"IMGVF",)"
+      R"("scale":"full"})"));
+  ASSERT_TRUE(sub.ok() && sub->get("job"));
+  const std::string id = std::to_string(sub->get("job")->as_int());
+  auto waited = api::parse_json(server.handle_request_line(
+      R"({"op":"wait","job":)" + id + R"(,"timeout_ms":300})"));
+  ASSERT_TRUE(waited.ok() && waited->get("state"));
+  EXPECT_EQ(waited->get("state")->as_string(), "running");
+
+  auto h =
+      api::parse_json(server.handle_request_line(R"({"op":"histograms"})"));
+  ASSERT_TRUE(h.ok() && h->get("histograms"));
+  const api::JsonValue* ser = h->get("histograms")->get("serialize");
+  ASSERT_NE(ser, nullptr);
+  EXPECT_EQ(ser->get("count")->as_int(), 2);  // the submit and the wait
+  EXPECT_LT(ser->get("sum_us")->as_int(), 50000);
+
+  server.handle_request_line(R"({"op":"cancel","job":)" + id + "}");
+  auto stopped = api::parse_json(server.handle_request_line(
+      R"({"op":"wait","job":)" + id + R"(,"timeout_ms":600000})"));
+  ASSERT_TRUE(stopped.ok() && stopped->get("state"));
+  EXPECT_EQ(stopped->get("state")->as_string(), "cancelled");
+}
+
 // ------------------------------------------------ wire integer checks
 //
 // A negative, fractional or out-of-range wire integer is INVALID_ARGUMENT

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -22,7 +23,11 @@
 #include "alloc/slice_alloc.hpp"
 #include "api/engine.hpp"
 #include "api/json.hpp"
+#include "common/bitutil.hpp"
+#include "common/rng.hpp"
 #include "exec/kernel_analysis.hpp"
+#include "fp/format.hpp"
+#include "rf/slices.hpp"
 #include "sim/gpu.hpp"
 #include "sim/soft_error.hpp"
 #include "testing_util.hpp"
@@ -77,10 +82,10 @@ TEST(SoftErrorProcess, DeterministicTraceWithinGeometry) {
       EXPECT_EQ(fa.bit, fb.bit);
       EXPECT_LT(fa.sm, sms);
       EXPECT_LT(fa.warp_slot, slots);
-      EXPECT_LT(fa.phys_reg, sim::kSoftPhysRegSpace);
-      EXPECT_LT(fa.slice, sim::kSoftSlicesPerReg);
+      EXPECT_LT(fa.phys_reg, rf::kPhysRegs);
+      EXPECT_LT(fa.slice, uint32_t(rf::kSlicesPerReg));
       EXPECT_LT(fa.lane, 32u);
-      EXPECT_LT(fa.bit, sim::kSoftBitsPerSlice);
+      EXPECT_LT(fa.bit, uint32_t(rf::kSliceBits));
       ++n;
     }
     sim::FlipSite unused;
@@ -112,8 +117,8 @@ TEST(SoftErrorModel, BaselineCorruptIsRawBitFlip) {
   exec::KernelAnalysis ka(w->kernel());
   sim::SoftErrorModel m(w->kernel(), ka, nullptr);
   const uint32_t v = 0x3f8a5c3eu;
-  for (uint32_t slice = 0; slice < sim::kSoftSlicesPerReg; ++slice)
-    for (uint32_t bit = 0; bit < sim::kSoftBitsPerSlice; ++bit)
+  for (uint32_t slice = 0; slice < rf::kSlicesPerReg; ++slice)
+    for (uint32_t bit = 0; bit < rf::kSliceBits; ++bit)
       EXPECT_EQ(m.corrupt(v, 0, false, slice, bit),
                 v ^ (1u << (slice * 4 + bit)));
 }
@@ -126,8 +131,8 @@ TEST(SoftErrorModel, CompressedOwnersRespectAllocationMasks) {
   sim::SoftErrorModel m(w->kernel(), ka, &alloc);
   // Every (site -> owner) edge must point back to a slice the owner's
   // allocation mask actually covers.
-  for (uint32_t pr = 0; pr < sim::kSoftPhysRegSpace; ++pr) {
-    for (uint32_t s = 0; s < sim::kSoftSlicesPerReg; ++s) {
+  for (uint32_t pr = 0; pr < rf::kPhysRegs; ++pr) {
+    for (uint32_t s = 0; s < rf::kSlicesPerReg; ++s) {
       for (const auto& o : m.owners(pr, s)) {
         ASSERT_LT(o.reg, alloc.table.size());
         const auto& e = alloc.table[o.reg];
@@ -150,6 +155,60 @@ TEST(SoftErrorModel, CompressedOwnersRespectAllocationMasks) {
     EXPECT_EQ(m.corrupt(c, r, false, 0, 1), v);
     break;
   }
+}
+
+TEST(SoftErrorModel, CorruptFlipsTheEncodedOperandOnRealAllocations) {
+  // A strike on slice s, bit b of a stored piece flips data bit 4j+b of
+  // the operand's encoding, where j is s's rank in the piece's mask plus
+  // the piece's first data slice.  The encoding is fp::encode for a narrow
+  // float and the low 4*slices bits otherwise; reading it back decodes,
+  // sign-extends or zero-pads.  Every slice site of every entry must also
+  // list the entry among its owners.
+  const auto workloads = wl::make_all_workloads();
+  gpurf::Pcg32 rng(41);
+  uint64_t cases = 0;
+  for (const auto& a : gpurf::testing::real_allocations(workloads)) {
+    exec::KernelAnalysis ka(*a.kernel);
+    sim::SoftErrorModel m(*a.kernel, ka, &a.alloc);
+    for (uint32_t r = 0; r < a.alloc.table.size(); ++r) {
+      const auto& e = a.alloc.table[r];
+      if (!e.valid || e.spilled) continue;
+      const bool narrow = e.is_float && e.float_bits != 32;
+      const fp::FloatFormat fmt = fp::format_for_bits(e.float_bits);
+      const int bits = rf::kSliceBits * e.slices;
+      const uint32_t v = e.is_float
+                             ? float_bits(rng.next_float(-1000.f, 1000.f))
+                             : rng.next_u32();
+      const uint32_t enc =
+          narrow ? fp::encode(bits_float(v), fmt) : v & low_mask(bits);
+      const auto decode = [&](uint32_t x) {
+        if (narrow) return float_bits(fp::decode(x, fmt));
+        return e.is_signed ? static_cast<uint32_t>(sign_extend(x, bits)) : x;
+      };
+      int j = 0;  // data slice, counted across both pieces
+      for (const bool second : {false, true}) {
+        if (second && !e.split) break;
+        const alloc::SliceLoc& loc = second ? e.r1 : e.r0;
+        for (uint32_t s = 0; s < rf::kSlicesPerReg; ++s) {
+          if (!((loc.mask >> s) & 1u)) continue;
+          const auto& owners = m.owners(loc.phys_reg, s);
+          EXPECT_TRUE(std::any_of(owners.begin(), owners.end(),
+                                  [&](const sim::SoftErrorModel::Owner& o) {
+                                    return o.reg == r &&
+                                           o.second_piece == second;
+                                  }))
+              << a.name << " reg " << r << " slice " << s;
+          for (uint32_t b = 0; b < rf::kSliceBits; ++b, ++cases)
+            EXPECT_EQ(m.corrupt(v, r, second, s, b),
+                      decode(enc ^ (1u << (rf::kSliceBits * j + b))))
+                << a.name << " reg " << r << " piece " << second
+                << " slice " << s << " bit " << b;
+          ++j;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 0u);
 }
 
 // ----------------------------------------------------- Engine: soft runs

@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "alloc/slice_alloc.hpp"
+#include "analysis/range_analysis.hpp"
 #include "common/thread_pool.hpp"
+#include "fp/format.hpp"
+#include "rf/fault_map.hpp"
 #include "sim/stats.hpp"
+#include "workloads/workload.hpp"
 
 namespace gpurf::testing {
 
@@ -48,5 +55,48 @@ class PoolWidth {
   gpurf::common::ThreadPool pool_;
   gpurf::common::ScopedPool bind_;
 };
+
+/// One slice allocation of a bundled workload's kernel.
+struct RealAllocation {
+  std::string name;  ///< "<workload> <variant>"
+  const gpurf::ir::Kernel* kernel = nullptr;  ///< owned by the workload
+  gpurf::alloc::AllocationResult alloc;
+};
+
+/// The allocations the register-file tests drive the operand codec with,
+/// three per workload (ranges from the sample instance, variant 0):
+///   int      integers packed by their analysed ranges;
+///   int+f16  that plus every f32 register at the 16-bit format
+///            (sim_golden_test's two compressed allocations);
+///   faulty   int+f16 around a seeded map with 90 % of the slices broken,
+///            which redirects and spills registers.
+/// Together they hold split, signed-narrow, narrow-float, redirected and
+/// spilled entries.
+inline std::vector<RealAllocation> real_allocations(
+    const std::vector<std::unique_ptr<gpurf::workloads::Workload>>&
+        workloads) {
+  namespace alloc = gpurf::alloc;
+  const auto faults = gpurf::rf::FaultMap::generate(7, 0.9);
+  std::vector<RealAllocation> out;
+  for (const auto& w : workloads) {
+    const gpurf::ir::Kernel& k = w->kernel();
+    const auto inst = w->make_instance(gpurf::workloads::Scale::kSample, 0);
+    const auto ranges = gpurf::analysis::analyze_ranges(k, inst.launch);
+    gpurf::exec::PrecisionMap pmap;
+    pmap.per_reg.assign(k.num_regs(), gpurf::fp::format_for_bits(32));
+    for (uint32_t r = 0; r < k.num_regs(); ++r)
+      if (k.regs[r].type == gpurf::ir::Type::F32)
+        pmap.per_reg[r] = gpurf::fp::format_for_bits(16);
+    const std::string name = w->spec().name;
+    out.push_back({name + " int", &k,
+                   alloc::allocate_slices(k, &ranges, nullptr, {true, false})});
+    out.push_back({name + " int+f16", &k,
+                   alloc::allocate_slices(k, &ranges, &pmap, {true, true})});
+    out.push_back(
+        {name + " faulty", &k,
+         alloc::allocate_slices(k, &ranges, &pmap, {true, true, &faults})});
+  }
+  return out;
+}
 
 }  // namespace gpurf::testing
