@@ -32,7 +32,7 @@ std::vector<bool> appearing_regs(const ir::Kernel& k) {
 
 struct PhysReg {
   // occupants[s]: architectural registers using slice-column s.
-  std::array<std::vector<uint32_t>, 8> occupants;
+  std::array<std::vector<uint32_t>, gpurf::rf::kSlicesPerReg> occupants;
 };
 
 /// Slices of `p` that register `r` could use: a slice-column is available
@@ -40,7 +40,7 @@ struct PhysReg {
 uint8_t available_mask(const PhysReg& p, uint32_t r,
                        const std::vector<DynBitset>& adj) {
   uint8_t m = 0;
-  for (int s = 0; s < 8; ++s) {
+  for (int s = 0; s < gpurf::rf::kSlicesPerReg; ++s) {
     bool ok = true;
     for (uint32_t o : p.occupants[s]) {
       if (o == r || adj[r].test(o)) {
@@ -56,7 +56,7 @@ uint8_t available_mask(const PhysReg& p, uint32_t r,
 /// Take the lowest `n` set bits of `avail`.
 uint8_t take_slices(uint8_t avail, int n) {
   uint8_t out = 0;
-  for (int s = 0; s < 8 && n > 0; ++s) {
+  for (int s = 0; s < gpurf::rf::kSlicesPerReg && n > 0; ++s) {
     if (avail & (1u << s)) {
       out |= static_cast<uint8_t>(1u << s);
       --n;
@@ -67,7 +67,7 @@ uint8_t take_slices(uint8_t avail, int n) {
 }
 
 void occupy(PhysReg& p, uint8_t mask, uint32_t r) {
-  for (int s = 0; s < 8; ++s)
+  for (int s = 0; s < gpurf::rf::kSlicesPerReg; ++s)
     if (mask & (1u << s)) p.occupants[s].push_back(r);
 }
 
@@ -99,7 +99,7 @@ AllocationResult allocate_slices(const ir::Kernel& k,
   std::vector<Item> items;
   for (uint32_t r = 0; r < k.num_regs(); ++r) {
     if (!used[r] || k.regs[r].type == ir::Type::PRED) continue;
-    int slices = 8;
+    int slices = gpurf::rf::kSlicesPerReg;
     auto& e = res.table[r];
     if (k.regs[r].type == ir::Type::F32) {
       e.is_float = true;
@@ -218,7 +218,7 @@ AllocationResult allocate_slices(const ir::Kernel& k,
       phys.resize(base);
       e.spilled = true;
       e.split = false;
-      e.slices = 8;
+      e.slices = gpurf::rf::kSlicesPerReg;
       e.is_signed = false;
       e.float_bits = 32;
       e.r0 = SliceLoc{res.spill_regs++, 0xff};

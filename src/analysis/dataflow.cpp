@@ -29,7 +29,6 @@ Dataflow compute_dataflow(const Kernel& k, const Cfg& cfg) {
 
   df.live_before.resize(points);
   df.dead_dst.assign(insts, 0);
-  df.ever_live = DynBitset(nr);
   df.def_count.assign(nr, 0);
   df.use_count.assign(nr, 0);
 
@@ -56,8 +55,6 @@ Dataflow compute_dataflow(const Kernel& k, const Cfg& cfg) {
       df.live_before[df.point_first[b] + i] = cur;
     }
   }
-
-  for (const DynBitset& s : df.live_before) df.ever_live.merge(s);
   return df;
 }
 

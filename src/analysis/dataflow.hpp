@@ -5,10 +5,11 @@
 // interference); this layer refines them to *program points* so that
 // downstream consumers can reason per instruction:
 //
-//  * the soft-error model classifies strikes against the static live mask
-//    (SimStats::soft_flips_static_dead) and integrates a static upper bound
-//    of the dynamic live-bit exposure;
-//  * gpurf-lint / {"op":"analyze"} surface the same facts as a KernelReport.
+//  * the soft-error model resolves a strike to the registers live at the
+//    warp's position and integrates the live-bit exposure
+//    (SimStats::soft_live_bit_cycles) over the same per-point sets;
+//  * gpurf-lint / {"op":"analyze"} surface the same facts as a KernelReport
+//    (dead writes from dead_dst, never-read registers from use_count).
 //
 // Point layout (shared with sim::SoftErrorModel): per block `size + 1`
 // points, flattened block-major.  Point i of a block is "about to execute
@@ -44,11 +45,6 @@ struct Dataflow {
   /// dead-write findings).  Precise for partial defs too: if the merged
   /// value is dead, so is the old value it merged with.
   std::vector<uint8_t> dead_dst;
-
-  /// Union of every live_before point: registers whose value is read
-  /// somewhere.  The complement (over appearing registers) is the
-  /// "never read" set the lint reports.
-  DynBitset ever_live;
 
   /// Def-use chain summary per register: how many instructions define /
   /// read it (guard reads count as uses).

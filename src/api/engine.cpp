@@ -13,7 +13,6 @@
 #include "fp/format.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
-#include "quality/degradation.hpp"
 #include "rf/fault_map.hpp"
 
 namespace gpurf {
@@ -114,9 +113,7 @@ SimRequest point_request(const JobRequest& r, uint64_t i) {
     return sr;
   }
   SimRequest sr = r.campaign.sim;
-  // Early stopping needs every point scored, whatever the template said.
-  sr.fault = {sweep.seed(i), sweep.value(i),
-              sr.fault.score_quality || r.campaign.quality_floor > 0.0};
+  sr.fault = {sweep.seed(i), sweep.value(i)};
   return sr;
 }
 
@@ -187,32 +184,13 @@ auto& record_point(std::optional<Result>& res, const JobRequest& r,
   return pt;
 }
 
-/// Record point i of a fault campaign and advance its quality floor.  The
-/// floor is decided for a density once it and every earlier density are
-/// complete, in index order, so a truncated sweep reads the same on
-/// every schedule.
 void record_fault_point(detail::JobImpl& job, uint64_t i,
                         const StatusOr<sim::SimResult>& r) {
-  const Sweep sweep(job.req);
   FaultCampaignPoint& pt = record_point(job.campaign_result, job.req, i, r);
-  pt.density = sweep.value(i);
-  if (r.ok()) pt.fault = r->fault;
-  const double floor = job.req.campaign.quality_floor;
-  FaultCampaignResult& res = *job.campaign_result;
-  uint64_t& prefix = job.points_prefix;
-  while (floor > 0.0 && !res.truncated && prefix < res.points.size() &&
-         res.points[prefix].state != JobState::kQueued) {
-    ++prefix;
-    if (prefix % sweep.per != 0) continue;  // density not complete yet
-    double delta_sum = 0.0;
-    int delta_n = 0;
-    for (uint64_t j = prefix - sweep.per; j < prefix; ++j)
-      if (res.points[j].error.empty() && res.points[j].fault.quality_scored) {
-        delta_sum += res.points[j].fault.quality_delta;
-        ++delta_n;
-      }
-    res.truncated = delta_n > 0 && delta_sum / delta_n > floor;
-    if (res.truncated) res.truncated_at_density = sweep.value(prefix - 1);
+  pt.density = Sweep(job.req).value(i);
+  if (r.ok()) {
+    pt.fault = r->fault;
+    pt.blocks_per_sm = r->occupancy.blocks_per_sm;
   }
 }
 
@@ -222,24 +200,6 @@ void record_transient_point(detail::JobImpl& job, uint64_t i,
       record_point(job.transient_result, job.req, i, r);
   pt.flips_per_mcycle = Sweep(job.req).value(i);
   if (r.ok()) pt.soft = r->soft;
-}
-
-/// A truncated sweep reports every point past the floor's density as not
-/// run, whether or not it had started when the floor was decided.
-void mark_unrun_points(detail::JobImpl& job) {
-  const Sweep sweep(job.req);
-  FaultCampaignPoint unrun;
-  unrun.state = JobState::kCancelled;
-  unrun.error =
-      Status::Cancelled("not run: the sweep stopped at its quality floor")
-          .to_string();
-  auto& points = job.campaign_result->points;
-  points.resize(sweep.points());
-  for (uint64_t i = job.points_prefix; i < points.size(); ++i) {
-    unrun.density = sweep.value(i);
-    unrun.seed = sweep.seed(i);
-    points[i] = unrun;
-  }
 }
 
 }  // namespace
@@ -351,8 +311,6 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
   if (!pr.ok()) return pr.status();
 
   common::ScopedPool scope(&pool_);
-  workloads::RunOptions ro;  // every functional replay below
-  ro.cancel = cancel;
   try {
     if (cancel) {
       cancel->set_stage(common::JobStage::kSimulating);
@@ -376,37 +334,10 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     if (so.shards > 1 && !w.mem_proofs(inst)->shard_ok)
       so.shards = 1;
 
-    // Soft-error quality scoring (PR 7) needs the pristine inputs kept
-    // aside: the timing sim executes functionally against inst.gmem, so
-    // the flipped run's architectural output is read back from it after
-    // the simulation.
-    const bool soft_quality = req.soft_score_quality && req.soft.enabled();
-    std::optional<workloads::Workload::Instance> pristine;
-    if (soft_quality) pristine = inst;
-    auto score_soft = [&](sim::SimResult& result,
-                          const exec::PrecisionMap* pmap) {
-      // Two functional replays score the flipped output: exact reference
-      // and flip-free tuned run (the flipped output itself comes from the
-      // simulated memory image).
-      const auto metric = w.make_metric(inst);
-      auto ref_inst = *pristine;
-      const auto ref = w.run(ref_inst, nullptr, nullptr, ro);
-      auto ff_inst = *pristine;
-      const auto flip_free = w.run(ff_inst, pmap, nullptr, ro);
-      const auto flipped = inst.gmem.read_f32(inst.out_base, inst.out_words);
-      result.soft.quality_scored = true;
-      result.soft.quality_fault_free = metric->score(ref, flip_free);
-      result.soft.quality_faulty = metric->score(ref, flipped);
-      result.soft.quality_delta = quality::degradation_delta(
-          metric->kind(), result.soft.quality_fault_free,
-          result.soft.quality_faulty);
-    };
-
     if (!inject) {
       const auto t0 = detail::JobImpl::Clock::now();
       sim::SimResult result = sim::simulate(opts_.gpu, comp, spec, cancel, so);
       metrics_.sim_hist.record_us(wall_us_since(t0));
-      if (soft_quality) score_soft(result, spec.precision);
       return result;
     }
 
@@ -422,67 +353,12 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
                            : (*pr)->tune_high;
     alloc::AllocOptions aopt;
     aopt.faults = &fm;
-    alloc::AllocationResult fa = alloc::allocate_slices(
+    const alloc::AllocationResult fa = alloc::allocate_slices(
         w.kernel(), &(*pr)->ranges, &tune.pmap, aopt);
-
-    // Fault-aware re-tuning (PR 7): only a map with actual faults that
-    // either spills or inflates register pressure past the SM's capacity
-    // ever re-tunes — the zero-fault path keeps the cached tuning
-    // bit-identical.  Slice budgets are tried widest first and candidates
-    // compete lexicographically on (fits on the SM, spill count): a
-    // narrow budget that merely trades spills for an infeasible register
-    // pressure is never adopted, and when the unconstrained allocation
-    // itself no longer fits, any fitting budget wins.  Strict improvement
-    // is required, so ties keep the wider budget (better quality at equal
-    // storage success).
-    const auto fits = [&](const alloc::AllocationResult& a) {
-      return sim::compute_occupancy(opts_.gpu, a.total_phys_regs(),
-                                    spec.launch.warps_per_block(),
-                                    w.kernel().shared_bytes)
-                 .blocks_per_sm > 0;
-    };
-    const exec::PrecisionMap* used_pmap = &tune.pmap;
-    const uint32_t spills_before = fa.registers_spilled;
-    tuning::TuneResult retuned_tr;
-    bool retuned = false;
-    uint32_t retune_budget = 0;
-    bool cur_fits = fits(fa);
-    if (req.retune_on_faults && fm.num_faults() > 0 &&
-        (fa.registers_spilled > 0 || !cur_fits)) {
-      if (cancel) cancel->set_stage(common::JobStage::kTuning);
-      auto probe = workloads::make_workload_probe(w, ro);
-      tuning::TunerOptions topt;
-      topt.level = req.mode == workloads::SimMode::kCompressedPerfect
-                       ? quality::QualityLevel::kPerfect
-                       : quality::QualityLevel::kHigh;
-      topt.cancel = cancel;
-      for (int hint : {4, 2, 1}) {
-        topt.max_slices_hint = hint;
-        tuning::TuneResult tr =
-            tuning::tune_precision(w.kernel(), *probe, topt);
-        alloc::AllocationResult fa2 = alloc::allocate_slices(
-            w.kernel(), &(*pr)->ranges, &tr.pmap, aopt);
-        const bool new_fits = fits(fa2);
-        const bool better =
-            new_fits != cur_fits
-                ? new_fits
-                : fa2.registers_spilled < fa.registers_spilled;
-        if (better) {
-          fa = std::move(fa2);
-          retuned_tr = std::move(tr);
-          used_pmap = &retuned_tr.pmap;
-          retuned = true;
-          retune_budget = static_cast<uint32_t>(hint);
-          cur_fits = new_fits;
-        }
-        if (cur_fits && fa.registers_spilled == 0) break;
-      }
-      if (cancel) cancel->set_stage(common::JobStage::kSimulating);
-    }
 
     // Spilled f32 registers live full-width in the spill store, so the
     // interpreter must not quantize them.
-    exec::PrecisionMap adj = *used_pmap;
+    exec::PrecisionMap adj = tune.pmap;
     if (adj.active())
       for (uint32_t r = 0;
            r < fa.table.size() && r < adj.per_reg.size(); ++r)
@@ -505,31 +381,6 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     rep.registers_spilled = fa.registers_spilled;
     rep.spill_regs = fa.spill_regs;
     rep.coverage_pct = fa.fault_coverage_pct();
-    rep.retuned = retuned;
-    rep.retune_slice_budget = retune_budget;
-    if (req.retune_on_faults) rep.spills_before_retune = spills_before;
-
-    if (req.fault.score_quality) {
-      // Three sample-scale functional runs score output degradation:
-      // exact reference, fault-free tuned, faulty-redirected.
-      // Redirection never changes numerics and spilled registers revert
-      // to full precision, so the delta is expected <= 0 ("no worse") —
-      // measured rather than asserted, which is the point of the report.
-      auto qinst = w.make_instance(workloads::Scale::kSample, 0);
-      const auto metric = w.make_metric(qinst);
-      auto ref_inst = qinst;
-      const auto ref = w.run(ref_inst, nullptr, nullptr, ro);
-      auto ff_inst = qinst;
-      const auto fault_free = w.run(ff_inst, &tune.pmap, nullptr, ro);
-      auto fy_inst = std::move(qinst);
-      const auto faulty = w.run(fy_inst, &adj, nullptr, ro);
-      rep.quality_scored = true;
-      rep.quality_fault_free = metric->score(ref, fault_free);
-      rep.quality_faulty = metric->score(ref, faulty);
-      rep.quality_delta = quality::degradation_delta(
-          metric->kind(), rep.quality_fault_free, rep.quality_faulty);
-    }
-    if (soft_quality) score_soft(result, &adj);
     return result;
   } catch (...) {
     return exception_status("simulate", w.spec().name);
@@ -813,7 +664,7 @@ void Engine::settle_points(detail::JobImpl& job, uint64_t i, uint64_t n,
                            const StatusOr<sim::SimResult>* r) {
   for (;;) {
     bool last = false;
-    bool cut = false;
+    bool stopped = false;
     {
       std::lock_guard<std::mutex> lock(job.mu);
       if (r && terminal_state_for(r->status()) != JobState::kDone)
@@ -824,15 +675,14 @@ void Engine::settle_points(detail::JobImpl& job, uint64_t i, uint64_t n,
              : record_transient_point)(job, i, *r);
       job.points_done += n;
       last = job.points_done == job.points;
-      cut = job.points_stopped ||
-            (job.campaign_result && job.campaign_result->truncated);
+      stopped = job.points_stopped;
     }
     job.token.campaign_maps_done.fetch_add(static_cast<int>(n),
                                            std::memory_order_relaxed);
     if (last) break;
-    if (!cut) return;
+    if (!stopped) return;
     {
-      // A stop or a crossed floor skips every point not handed out yet.
+      // A stop skips every point not handed out yet.
       common::MutexLock lock(qmu_);
       n = job.points - job.points_handed;
       if (n == 0) return;
@@ -852,8 +702,6 @@ void Engine::settle_points(detail::JobImpl& job, uint64_t i, uint64_t n,
                        campaign_name(job.req));
       job.campaign_result.reset();
       job.transient_result.reset();
-    } else if (job.campaign_result && job.campaign_result->truncated) {
-      mark_unrun_points(job);
     }
   }
   finish_job(job, std::move(st));

@@ -43,14 +43,11 @@ namespace gpurf {
 /// Permanent-fault injection for one simulation (PR 6).  The Engine
 /// generates rf::FaultMap::generate(seed, density), runs the slice
 /// allocator fault-aware (redirection + graceful spill) and reports
-/// coverage/degradation in SimResult::fault.  density <= 0 disables
-/// injection entirely (bit-identical to a fault-free run).
+/// coverage in SimResult::fault.  density <= 0 disables injection
+/// entirely (bit-identical to a fault-free run).
 struct FaultSpec {
   uint64_t seed = 0;
   double density = 0.0;  ///< fraction of slice sites faulty, clamped [0,1]
-  /// Also score output quality of the faulty allocation against the
-  /// fault-free tuned run (adds two sample-scale functional runs).
-  bool score_quality = false;
 };
 
 /// One timing-simulation request (§6 experiment configurations).
@@ -74,21 +71,6 @@ struct SimRequest {
   /// comparison point); rate <= 0 with track_exposure unset runs
   /// bit-identical to a flip-free simulation.
   sim::SoftErrorSpec soft;
-  /// Also score the flipped run's architectural output against the exact
-  /// reference and a flip-free tuned replay (fills
-  /// SoftErrorReport::quality_*; adds two functional runs at this
-  /// request's scale).  Ignored unless the flip process is active.
-  bool soft_score_quality = false;
-  /// Fault-aware re-tuning (PR 7): when the permanent-fault map is dense
-  /// enough that allocation spills registers — or inflates physical
-  /// register pressure until the kernel no longer fits on the SM —
-  /// re-run the precision tuner under a slice budget
-  /// (TunerOptions::max_slices_hint of 4, then 2, then 1) and adopt the
-  /// best configuration, comparing lexicographically on (fits on the SM,
-  /// spill count) — trading precision down to keep values in compressed
-  /// storage.  A fault-free map never re-tunes, so the tuned pipeline
-  /// output is guaranteed unchanged.
-  bool retune_on_faults = false;
 };
 
 /// A fault-injection campaign (ROADMAP 4a): sweep `maps_per_density`
@@ -104,13 +86,6 @@ struct FaultCampaignRequest {
   std::vector<double> densities = {0.005, 0.01, 0.02, 0.05};
   int maps_per_density = 3;       ///< seeded maps per density point
   uint64_t base_seed = 1;         ///< per-map seeds derived from this
-  /// Early stopping: > 0 forces quality scoring on every map and,
-  /// once the mean quality delta (positive = worse) across a density
-  /// crosses above this floor (decided in density order, each density
-  /// once it and every earlier one are complete), skips the maps of the
-  /// higher densities, reports them not run and marks the result
-  /// truncated.  <= 0 (default) disables early stopping.
-  double quality_floor = 0.0;
 };
 
 enum class JobState {
@@ -140,20 +115,19 @@ inline bool job_state_terminal(JobState s) {
 struct FaultCampaignPoint {
   double density = 0.0;   ///< requested density of this point
   uint64_t seed = 0;      ///< derived per-map seed
-  JobState state = JobState::kDone;  ///< kCancelled when not run
-  std::string error;      ///< non-empty when the map failed or did not run
+  JobState state = JobState::kDone;
+  std::string error;      ///< non-empty when the map failed
   sim::FaultInjectionReport fault;   ///< empty when the map failed
   uint64_t cycles = 0;
   double ipc = 0.0;
+  /// Resident blocks per SM under the redirected allocation
+  /// (SimResult::occupancy): where redirection costs occupancy.
+  uint32_t blocks_per_sm = 0;
 };
 
 struct FaultCampaignResult {
   std::string workload;
   std::vector<FaultCampaignPoint> points;  ///< density-major, seed order
-  /// Early stopping fired: maps past `truncated_at_density` did not run
-  /// after the mean quality delta crossed the request's floor.
-  bool truncated = false;
-  double truncated_at_density = 0.0;
 };
 
 /// A transient soft-error campaign (PR 7 tentpole): sweep `seeds_per_rate`
@@ -162,8 +136,8 @@ struct FaultCampaignResult {
 /// deterministic splitmix64 stream off `base_seed`; progress and
 /// cancellation behave exactly like a permanent-fault campaign.
 struct TransientCampaignRequest {
-  /// Template for every point: mode, scale, compression, re-tuning — the
-  /// per-point soft-error rate and seed are overwritten by the sweep.
+  /// Template for every point: mode, scale, compression — the per-point
+  /// soft-error rate and seed are overwritten by the sweep.
   SimRequest sim;
   std::vector<double> flip_rates = {10.0, 100.0, 1000.0};  ///< per Mcycle
   int seeds_per_rate = 3;
@@ -302,12 +276,11 @@ struct JobImpl {
 
   // A job is one queue entry of `points` runs (a campaign's simulations,
   // else one), handed out in index order (`points_handed`, under the
-  // Engine's queue lock).  The rest are under `mu`: points finished, the
-  // finished prefix the quality floor has read, whether a stop cut it.
+  // Engine's queue lock).  The rest are under `mu`: points finished and
+  // whether a stop cut the sweep.
   uint64_t points = 1;
   uint64_t points_handed = 0;
   uint64_t points_done = 0;
-  uint64_t points_prefix = 0;
   bool points_stopped = false;
 
   /// queued -> running; false if the job is already terminal or a stop was

@@ -226,8 +226,6 @@ void write_stats_fields(JsonWriter& w, const sim::SimStats& s) {
   w.field("soft_flips_masked_dead", s.soft_flips_masked_dead);
   w.field("soft_flips_visible", s.soft_flips_visible);
   w.field("soft_live_bit_cycles", s.soft_live_bit_cycles);
-  w.field("soft_flips_static_dead", s.soft_flips_static_dead);
-  w.field("soft_static_live_bit_cycles", s.soft_static_live_bit_cycles);
 }
 
 void write_fault_report(JsonWriter& w, const std::string& k,
@@ -242,15 +240,6 @@ void write_fault_report(JsonWriter& w, const std::string& k,
   w.field("registers_spilled", f.registers_spilled);
   w.field("spill_regs", f.spill_regs);
   w.field("coverage_pct", f.coverage_pct);
-  w.field("retuned", f.retuned);
-  w.field("retune_slice_budget", f.retune_slice_budget);
-  w.field("spills_before_retune", f.spills_before_retune);
-  w.field("quality_scored", f.quality_scored);
-  if (f.quality_scored) {
-    w.field("quality_fault_free", f.quality_fault_free);
-    w.field("quality_faulty", f.quality_faulty);
-    w.field("quality_delta", f.quality_delta);
-  }
   w.end_object();
 }
 
@@ -265,15 +254,7 @@ void write_soft_report(JsonWriter& w, const std::string& k,
   w.field("flips_masked_dead", s.flips_masked_dead);
   w.field("flips_visible", s.flips_visible);
   w.field("live_bit_cycles", s.live_bit_cycles);
-  w.field("flips_static_dead", s.flips_static_dead);
-  w.field("static_live_bit_cycles", s.static_live_bit_cycles);
   w.field("avf", s.avf());
-  w.field("quality_scored", s.quality_scored);
-  if (s.quality_scored) {
-    w.field("quality_fault_free", s.quality_fault_free);
-    w.field("quality_faulty", s.quality_faulty);
-    w.field("quality_delta", s.quality_delta);
-  }
   w.end_object();
 }
 
@@ -328,8 +309,6 @@ std::string to_json(const FaultCampaignResult& r) {
   JsonWriter w;
   w.begin_object();
   w.field("workload", r.workload);
-  w.field("truncated", r.truncated);
-  if (r.truncated) w.field("truncated_at_density", r.truncated_at_density);
   w.begin_array("points");
   for (const auto& pt : r.points) {
     w.begin_object();
@@ -339,6 +318,7 @@ std::string to_json(const FaultCampaignResult& r) {
     if (!pt.error.empty()) w.field("error", pt.error);
     w.field("cycles", pt.cycles);
     w.field("ipc", pt.ipc);
+    w.field("blocks_per_sm", pt.blocks_per_sm);
     write_fault_report(w, "fault", pt.fault);
     w.end_object();
   }

@@ -74,7 +74,7 @@ std::string to_json(const sim::SimStats& s);
 std::string to_json(const sim::SimResult& r);
 
 /// Fault-campaign snapshot (PR 6): one entry per (density, seed) point
-/// with the point's state, degradation report, cycles and IPC.
+/// with the point's state, cycles, IPC, blocks per SM and fault report.
 std::string to_json(const FaultCampaignResult& r);
 
 /// Transient-campaign snapshot (PR 7): one entry per (flip rate, seed)

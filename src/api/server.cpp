@@ -90,18 +90,12 @@ Status parse_sim_request(const JsonValue& req, SimRequest& out) {
   // rejects it for mode=original (faults live in the compressed file).
   if (const JsonValue* fd = req.get("fault_density"))
     out.fault.density = fd->as_double(0.0);
-  if (const JsonValue* fq = req.get("fault_quality"))
-    out.fault.score_quality = fq->as_bool(false);
   // Transient soft errors (PR 7): a positive rate attaches the flip
   // process; exposure tracking works at any rate (including zero).
   if (const JsonValue* sr = req.get("soft_flips_per_mcycle"))
     out.soft.flips_per_mcycle = sr->as_double(0.0);
   if (const JsonValue* se = req.get("soft_track_exposure"))
     out.soft.track_exposure = se->as_bool(false);
-  if (const JsonValue* sq = req.get("soft_quality"))
-    out.soft_score_quality = sq->as_bool(false);
-  if (const JsonValue* rt = req.get("retune_on_faults"))
-    out.retune_on_faults = rt->as_bool(false);
   return Status::Ok();
 }
 
@@ -659,8 +653,6 @@ std::string Server::handle_submit(const JsonValue& req,
     if (st.ok()) st = read_int(req, "maps_per_density", cr.maps_per_density);
     if (st.ok()) st = read_int(req, "base_seed", cr.base_seed);
     if (!st.ok()) return error_envelope(st);
-    if (const JsonValue* q = req.get("quality_floor"))
-      cr.quality_floor = q->as_double(0.0);
     jr = JobRequest::fault_campaign(wlname->as_string(), std::move(cr));
   } else if (kind == "transient_campaign") {
     TransientCampaignRequest tr;

@@ -20,10 +20,12 @@
 //    "variant":N,"writeback_delay":N,"sim_shards":N,"priority":N,
 //    "deadline_ms":N,
 //    // simulate only (PR 6 fault injection; needs a compressed mode):
-//    "fault_seed":N,"fault_density":F,"fault_quality":B,
+//    "fault_seed":N,"fault_density":F,
+//    // simulate (transient soft errors, any mode; a transient_campaign sets
+//    // the rate and seed per point):
+//    "soft_flips_per_mcycle":F,"soft_seed":N,"soft_track_exposure":B,
 //    // fault_campaign only (mode defaults to "perfect" here):
 //    "densities":[F,...],"maps_per_density":N,"base_seed":N,
-//    "quality_floor":F,
 //    // transient_campaign only:
 //    "flip_rates":[F,...],"seeds_per_rate":N,"base_seed":N}
 //                                         -> {"job":ID,"state":..}

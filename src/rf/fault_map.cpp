@@ -12,16 +12,17 @@ namespace gpurf::rf {
 FaultMap::FaultMap(uint32_t banks, uint32_t rows_per_bank)
     : banks_(banks), rows_(rows_per_bank) {
   GPURF_CHECK(banks_ > 0 && rows_ > 0, "fault map needs a non-empty geometry");
-  GPURF_CHECK(uint64_t(banks_) * rows_ * 8 <= (1ull << 32) - 1,
+  GPURF_CHECK(uint64_t(banks_) * rows_ * kSlicesPerReg <= (1ull << 32) - 1,
               "fault map geometry too large");
   masks_.assign(size_t(banks_) * rows_, 0);
 }
 
 void FaultMap::add_fault(uint32_t bank, uint32_t row, uint8_t slice) {
-  GPURF_CHECK(bank < banks_ && row < rows_ && slice < 8,
+  GPURF_CHECK(bank < banks_ && row < rows_ && slice < kSlicesPerReg,
               "fault site (" << bank << "," << row << ","
                              << unsigned(slice) << ") outside geometry "
-                             << banks_ << "x" << rows_ << "x8");
+                             << banks_ << "x" << rows_ << "x"
+                             << kSlicesPerReg);
   const uint32_t phys = row * banks_ + bank;
   const uint8_t bit = static_cast<uint8_t>(1u << slice);
   if (masks_[phys] & bit) return;  // idempotent
@@ -37,7 +38,7 @@ void FaultMap::add_fault(uint32_t bank, uint32_t row, uint8_t slice) {
 }
 
 bool FaultMap::is_faulty(uint32_t bank, uint32_t row, uint8_t slice) const {
-  if (bank >= banks_ || row >= rows_ || slice >= 8) return false;
+  if (bank >= banks_ || row >= rows_ || slice >= kSlicesPerReg) return false;
   return (masks_[row * banks_ + bank] >> slice) & 1u;
 }
 
@@ -64,9 +65,9 @@ FaultMap FaultMap::generate(uint64_t seed, double density, uint32_t banks,
   }
   for (uint64_t i = 0; i < count; ++i) {
     const uint32_t idx = sites[i];
-    const uint32_t phys = idx / 8;
+    const uint32_t phys = idx / kSlicesPerReg;
     map.add_fault(phys % banks, phys / banks,
-                  static_cast<uint8_t>(idx % 8));
+                  static_cast<uint8_t>(idx % kSlicesPerReg));
   }
   return map;
 }

@@ -64,7 +64,7 @@ class FaultMap {
   uint32_t banks() const { return banks_; }
   uint32_t rows_per_bank() const { return rows_; }
   uint64_t total_slice_sites() const {
-    return uint64_t(banks_) * rows_ * 8;
+    return uint64_t(banks_) * rows_ * kSlicesPerReg;
   }
 
   size_t num_faults() const { return faults_.size(); }

@@ -87,12 +87,6 @@ struct CompressionConfig {
   /// pay it.
   uint32_t fault_redirection_cycles = 1;
 
-  /// Read ports on the uncompressed spill store (PR 7).  An instruction
-  /// whose sources need more concurrent spill fetches than this serializes
-  /// the excess, one extra cycle per additional port-width batch, counted
-  /// in SimStats::spill_port_conflicts.  Values < 1 behave as 1.
-  uint32_t spill_ports = 1;
-
   static CompressionConfig baseline() { return CompressionConfig{}; }
   static CompressionConfig paper_default() {
     CompressionConfig c;

@@ -214,12 +214,6 @@ class SmCore {
   /// shard count.
   void apply_soft_flip(const FlipSite& ev) {
     ++stats_.soft_flips_injected;
-    // Static classification first (PR 9): a site none of whose aliased
-    // owners is ever live can only resolve to "masked" below, whatever
-    // the warp state — counting it here keeps the invariant
-    // static_dead <= masked_dead structural rather than sampled.
-    if (soft_model_->site_static_dead(ev.phys_reg, ev.slice))
-      ++stats_.soft_flips_static_dead;
     const auto masked = [&] { ++stats_.soft_flips_masked_dead; };
     if (ev.warp_slot >= warps_.size()) return masked();
     WarpCtx& wc = warps_[ev.warp_slot];
@@ -332,12 +326,6 @@ class SmCore {
       const uint64_t lanes = uint64_t(std::popcount(ws.valid_mask()));
       stats_.soft_live_bit_cycles +=
           uint64_t(soft_model_->payload_bits(pos.blk, pos.inst)) * lanes;
-      // Static upper bound over the identical warp-cycles: ever-live
-      // payload is position-independent, so per row this integral
-      // dominates the dynamic one (live_before ⊆ ever_live), which the
-      // SoftSim tests check.
-      stats_.soft_static_live_bit_cycles +=
-          uint64_t(soft_model_->static_payload_bits()) * lanes;
     }
   }
 
@@ -625,17 +613,11 @@ class SmCore {
     // collector unit's first fetch, once per affected instruction.
     if (fault_penalty) cu.active_from += cc_.fault_redirection_cycles;
 
-    // Spill-store port contention (PR 7): the uncompressed store has
-    // cc_.spill_ports read ports, so an instruction needing more
-    // concurrent spill fetches serializes the excess one port-width batch
-    // per cycle.
-    if (nspill > 0) {
-      const uint32_t ports = std::max<uint32_t>(1, cc_.spill_ports);
-      const uint32_t extra = (nspill + ports - 1) / ports - 1;
-      if (extra > 0) {
-        cu.active_from += extra;
-        stats_.spill_port_conflicts += extra;
-      }
+    // Spill-store port contention: the uncompressed store has one
+    // read port, so each spilled source after the first waits a cycle.
+    if (nspill > 1) {
+      cu.active_from += nspill - 1;
+      stats_.spill_port_conflicts += nspill - 1;
     }
 
     // Scoreboard: destination pends until writeback.
@@ -986,8 +968,6 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
     res.soft.flips_masked_dead = res.stats.soft_flips_masked_dead;
     res.soft.flips_visible = res.stats.soft_flips_visible;
     res.soft.live_bit_cycles = res.stats.soft_live_bit_cycles;
-    res.soft.flips_static_dead = res.stats.soft_flips_static_dead;
-    res.soft.static_live_bit_cycles = res.stats.soft_static_live_bit_cycles;
   }
   return res;
 }

@@ -119,9 +119,9 @@ struct KernelLaunchSpec {
 
 /// Fault-injection outcome of one simulated launch (PR 6).  The simulator
 /// itself only charges the redirection penalty — the report is assembled
-/// by the caller (Engine::simulate) from the fault map, the fault-aware
-/// allocation and the optional quality probe; `active == false` means the
-/// run was fault-free and every other field is at its default.
+/// by the caller (Engine::simulate) from the fault map and the fault-aware
+/// allocation; `active == false` means the run was fault-free and every
+/// other field is at its default.
 struct FaultInjectionReport {
   bool active = false;
   uint64_t seed = 0;
@@ -132,25 +132,13 @@ struct FaultInjectionReport {
   uint32_t registers_spilled = 0;
   uint32_t spill_regs = 0;          ///< spill-store slots consumed
   double coverage_pct = 100.0;      ///< AllocationResult::fault_coverage_pct
-  bool quality_scored = false;      ///< quality delta below is meaningful
-  double quality_fault_free = 0.0;
-  double quality_faulty = 0.0;
-  double quality_delta = 0.0;       ///< positive = worse than fault-free
-
-  /// Fault-aware re-tuning (PR 7): when the map was dense enough that the
-  /// baseline tuning would spill and the caller opted in, the Engine
-  /// re-tunes with a slice budget and keeps the best configuration.
-  bool retuned = false;             ///< a re-tuned configuration was adopted
-  uint32_t retune_slice_budget = 0; ///< winning max_slices_hint (0 = none)
-  uint32_t spills_before_retune = 0;///< registers_spilled without re-tuning
 
   bool operator==(const FaultInjectionReport&) const = default;
 };
 
 /// AVF-style vulnerability breakdown of one soft-error run (PR 7).  The
 /// counter fields mirror SimStats (they are the merged totals); the report
-/// adds the spec that produced them plus the quality delta the Engine
-/// scores via the workload metric.  `active == false` means no flip
+/// adds the spec that produced them.  `active == false` means no flip
 /// process was attached and every other field is at its default.
 struct SoftErrorReport {
   bool active = false;
@@ -161,15 +149,6 @@ struct SoftErrorReport {
   uint64_t flips_masked_dead = 0;
   uint64_t flips_visible = 0;
   uint64_t live_bit_cycles = 0;     ///< deterministic exposure integral
-  /// Static AVF refinement (PR 9): flips provably masked by the static
-  /// live mask alone (<= flips_masked_dead), and the static upper-bound
-  /// integral (>= live_bit_cycles).
-  uint64_t flips_static_dead = 0;
-  uint64_t static_live_bit_cycles = 0;
-  bool quality_scored = false;
-  double quality_fault_free = 0.0;
-  double quality_faulty = 0.0;
-  double quality_delta = 0.0;
 
   /// Architecturally-visible flips per injected flip (AVF proxy).
   double avf() const {

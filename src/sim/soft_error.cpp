@@ -45,8 +45,7 @@ bool SoftErrorProcess::next_flip(uint64_t cycle, FlipSite* out) {
 SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
                                const gpurf::exec::KernelAnalysis& ka,
                                const gpurf::alloc::AllocationResult* allocation)
-    : k_(&k),
-      alloc_(allocation),
+    : alloc_(allocation),
       df_(gpurf::analysis::compute_dataflow(k, ka.cfg())) {
   const uint32_t nregs = k.num_regs();
 
@@ -97,7 +96,6 @@ SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
     df_.live_before[p].for_each_set([&](size_t r) { bits += reg_bits_[r]; });
     bits_at_[p] = bits;
   }
-  df_.ever_live.for_each_set([&](size_t r) { static_bits_ += reg_bits_[r]; });
 }
 
 const std::vector<SoftErrorModel::Owner>& SoftErrorModel::owners(
@@ -113,22 +111,6 @@ bool SoftErrorModel::reg_live(uint32_t blk, uint32_t inst,
 
 uint32_t SoftErrorModel::payload_bits(uint32_t blk, uint32_t inst) const {
   return bits_at_[df_.point_index(blk, inst)];
-}
-
-bool SoftErrorModel::site_static_dead(uint32_t phys_reg,
-                                      uint32_t slice) const {
-  const auto live_somewhere = [&](uint32_t r) {
-    return r < df_.ever_live.size() && df_.ever_live.test(r);
-  };
-  if (alloc_) {
-    for (const Owner& o : owners(phys_reg, slice))
-      if (live_somewhere(o.reg)) return false;
-    return true;  // unallocated, or every aliased owner is never live
-  }
-  // Baseline identity storage: the site is its own register.
-  return !(phys_reg < k_->num_regs() &&
-           k_->regs[phys_reg].type != gpurf::ir::Type::PRED &&
-           live_somewhere(phys_reg));
 }
 
 uint32_t SoftErrorModel::corrupt(uint32_t value, uint32_t reg,

@@ -107,18 +107,6 @@ class SoftErrorModel {
   /// (32 baseline, 4 * allocated slices compressed).
   uint32_t payload_bits(uint32_t blk, uint32_t inst) const;
 
-  /// Static classification (PR 9): the site holds no payload that is live
-  /// at *any* program point — every strike there is masked regardless of
-  /// where the warp stands, so soft_flips_static_dead is a lower bound of
-  /// soft_flips_masked_dead by construction.
-  bool site_static_dead(uint32_t phys_reg, uint32_t slice) const;
-
-  /// Position-independent upper bound of payload_bits(): the sum of the
-  /// stored widths of every ever-live register.  Integrated alongside the
-  /// dynamic exposure it yields the static live-bit integral, >= the
-  /// dynamic one per warp-cycle by live_before ⊆ ever_live.
-  uint32_t static_payload_bits() const { return static_bits_; }
-
   /// Corrupt one stored bit of the victim register and return the
   /// post-decompression architectural value.  `value` is the current
   /// architectural 32-bit value; equality of the result means the strike
@@ -127,7 +115,6 @@ class SoftErrorModel {
                    uint32_t slice, uint32_t bit) const;
 
  private:
-  const gpurf::ir::Kernel* k_;
   const gpurf::alloc::AllocationResult* alloc_;  ///< nullptr = baseline
   /// Instruction-granular liveness (PR 9), computed over the CFG of the
   /// KernelAnalysis the launch carries.
@@ -140,7 +127,6 @@ class SoftErrorModel {
   /// Per-point payload-bit sums over the dataflow's point layout
   /// (allocation-dependent, so computed here rather than in the analysis).
   std::vector<uint32_t> bits_at_;
-  uint32_t static_bits_ = 0;  ///< sum of widths over ever-live registers
 };
 
 }  // namespace gpurf::sim

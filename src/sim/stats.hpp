@@ -49,9 +49,9 @@ struct SimStats {
   uint64_t fault_redirected_fetches = 0;
   uint64_t fault_spill_fetches = 0;
 
-  /// Spill-store port contention (PR 7): extra serialization cycles paid
-  /// when one instruction needs more concurrent spill-store fetches than
-  /// the configured port count (CompressionConfig::spill_ports).
+  /// Spill-store port contention: the uncompressed store has one
+  /// read port, so an instruction with n spilled sources waits n - 1
+  /// extra cycles, counted here.
   uint64_t spill_port_conflicts = 0;
 
   // Transient soft errors (PR 7).  The sampled taxonomy:
@@ -68,17 +68,6 @@ struct SimStats {
   uint64_t soft_flips_masked_dead = 0;
   uint64_t soft_flips_visible = 0;
   uint64_t soft_live_bit_cycles = 0;
-
-  // Static AVF refinement (PR 9): flips into sites whose aliased owners
-  // are live at *no* program point — provably masked by the static live
-  // mask alone, so soft_flips_static_dead <= soft_flips_masked_dead by
-  // construction.  soft_static_live_bit_cycles integrates the static
-  // (position-independent) payload upper bound over the same warp-cycles
-  // as soft_live_bit_cycles; the gap between the two integrals is the
-  // cross-section the per-point analysis shaves off the whole-kernel
-  // view.
-  uint64_t soft_flips_static_dead = 0;
-  uint64_t soft_static_live_bit_cycles = 0;
 
   double ipc() const {
     return cycles == 0 ? 0.0 : double(thread_insts) / double(cycles);
@@ -115,8 +104,6 @@ struct SimStats {
     soft_flips_masked_dead += sm.soft_flips_masked_dead;
     soft_flips_visible += sm.soft_flips_visible;
     soft_live_bit_cycles += sm.soft_live_bit_cycles;
-    soft_flips_static_dead += sm.soft_flips_static_dead;
-    soft_static_live_bit_cycles += sm.soft_static_live_bit_cycles;
   }
 };
 

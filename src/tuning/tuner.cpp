@@ -63,22 +63,6 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
   res.f32_regs = static_cast<int>(targets.size());
   res.slices_before = 8 * res.f32_regs;
 
-  // Slice-budget constraint (PR 7): cap every target's starting format at
-  // the widest Table-3 format within the budget before any probe runs.
-  // The descent below then only narrows further, so the budget is a hard
-  // ceiling on slices_after per register; quality becomes best-effort.
-  const bool constrained = opt.max_slices_hint > 0 && opt.max_slices_hint < 8;
-  if (constrained) {
-    const auto& fmts = table3_formats();
-    gpurf::fp::FloatFormat cap = fmts.back();  // narrowest, if nothing fits
-    for (const auto& f : fmts)
-      if (f.slices() <= opt.max_slices_hint) {
-        cap = f;
-        break;
-      }
-    for (uint32_t r : targets) res.pmap.per_reg[r] = cap;
-  }
-
   // Cancellation/deadline checkpoint + progress mailbox.  Polled before
   // every probe batch so a stop request is honoured within one batch; the
   // evaluation counter is published after each batch returns.
@@ -104,11 +88,10 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
   checkpoint();
   double last_score = probe.evaluate(res.pmap);
   ++res.evaluations;
-  if (!constrained)
-    GPURF_CHECK(probe.meets(last_score, opt.level),
-                "kernel '" << k.name
-                           << "' fails the quality threshold at full "
-                              "precision; the metric or reference is broken");
+  GPURF_CHECK(probe.meets(last_score, opt.level),
+              "kernel '" << k.name
+                         << "' fails the quality threshold at full "
+                            "precision; the metric or reference is broken");
 
   for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool changed = false;
@@ -228,7 +211,7 @@ TuneResult tune_precision(const ir::Kernel& k, QualityProbe& probe,
     checkpoint();
     res.final_score = probe.evaluate(res.pmap);
     ++res.evaluations;
-    GPURF_ASSERT(constrained || probe.meets(res.final_score, opt.level),
+    GPURF_ASSERT(probe.meets(res.final_score, opt.level),
                  "accepted assignment fails validation");
   }
   if (opt.cancel)

@@ -74,18 +74,6 @@ struct TunerOptions {
   /// score) and the deferred validation must still be performed by the
   /// caller — see workloads::compute_pipeline.
   bool defer_validation = false;
-  /// Slice budget per tuned register (PR 7, fault-aware re-tuning): when in
-  /// [1, 7], every target register *starts* at the widest Table-3 format
-  /// occupying at most this many 4-bit slices (the narrowest format when
-  /// even that exceeds the budget), and the quality threshold becomes
-  /// best-effort — the full-precision quality check and the final
-  /// validation assert are skipped, because a dense permanent-fault map
-  /// may force precision below the threshold to keep values inside the
-  /// compressed file instead of the spill store.  The greedy descent still
-  /// only narrows *further* when quality holds.  Values <= 0 or >= 8 are
-  /// unconstrained: the tuner's behaviour — and its output — is pinned
-  /// bit-identical to a hint of 0 (retune_test relies on this).
-  int max_slices_hint = 0;
   /// Cooperative cancellation / deadline checkpoint, polled between probe
   /// batches (never mid-probe), plus the tuner's progress mailbox
   /// (pass / evaluation counters).  Null disables both.  When a stop is

@@ -98,11 +98,11 @@ PipelineResult compute_pipeline(const Workload& w,
 
 /// Build the workload's quality probe — the same probe compute_pipeline
 /// tunes against (every sample variant replayed functionally, scores
-/// combined pessimistically).  Public so the Engine's fault-aware re-tuning
-/// path (PR 7) can re-run tune_precision under a slice budget without
-/// invalidating the cached unconstrained pipeline result.  Construction
-/// replays every sample variant once to build the references; `run.cancel`
-/// threads into those replays and all later evaluations.
+/// combined pessimistically).  Public so a caller can run tune_precision
+/// itself (Engine::tune) without touching the memoized pipeline result.
+/// Construction replays every sample variant once to build the
+/// references; `run.cancel` threads into those replays and all later
+/// evaluations.
 std::unique_ptr<gpurf::tuning::QualityProbe> make_workload_probe(
     const Workload& w, const RunOptions& run);
 

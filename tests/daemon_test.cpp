@@ -273,6 +273,49 @@ TEST(Daemon, ModeDefaultsPerKindAndCampaignWaitAttachesResult) {
   EXPECT_EQ(pts->items.size(), 2u);
 }
 
+// Wire requests may still carry the fault- and soft-error options that
+// were removed (output quality scoring, its campaign floor, fault-aware
+// re-tuning).  Unknown fields are ignored, so such a submit is accepted
+// and its result is exactly that of the same submit without them.
+TEST(Daemon, RemovedRequestFieldsAreIgnored) {
+  TempDir dir("gpurf_daemon_removed_fields_cache");
+  Engine engine(EngineOptions().with_threads(2).with_cache_dir(dir.path));
+  api::Server server(engine, api::ServerOptions{});  // never started
+  const auto result_of = [&](const std::string& fields) {
+    auto sub = parse_ok(server.handle_request_line(
+        R"({"op":"submit","workload":"DWT2D","scale":"sample",)" + fields +
+        "}"));
+    EXPECT_TRUE(sub.get("ok")->as_bool()) << fields;
+    const api::JsonValue* job = sub.get("job");
+    if (!job) return api::JsonValue{};
+    auto done = parse_ok(server.handle_request_line(
+        R"({"op":"wait","job":)" + std::to_string(job->as_int()) +
+        R"(,"timeout_ms":600000})"));
+    EXPECT_EQ(done.get("status_code")->as_string(), "OK") << fields;
+    const api::JsonValue* res = done.get("result");
+    EXPECT_NE(res, nullptr) << fields;
+    return res ? *res : api::JsonValue{};
+  };
+
+  const std::string sim =
+      R"("kind":"simulate","mode":"perfect","fault_density":0.05,)"
+      R"("fault_seed":7,"soft_flips_per_mcycle":10000,"soft_seed":3)";
+  const auto plain_sim = result_of(sim);
+  ASSERT_TRUE(plain_sim.is_object());
+  EXPECT_TRUE(api::deep_equal(
+      result_of(sim + R"(,"fault_quality":true,"soft_quality":true,)"
+                      R"("retune_on_faults":true)"),
+      plain_sim));
+
+  const std::string campaign =
+      R"("kind":"fault_campaign","densities":[0.05],"maps_per_density":2,)"
+      R"("base_seed":5)";
+  const auto plain_campaign = result_of(campaign);
+  ASSERT_TRUE(plain_campaign.is_object());
+  EXPECT_TRUE(api::deep_equal(result_of(campaign + R"(,"quality_floor":0.5)"),
+                              plain_campaign));
+}
+
 // ------------------------------------------------- socket round-trip
 
 TEST(Daemon, SocketRoundTripSubmitWaitResultShutdown) {

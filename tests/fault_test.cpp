@@ -6,7 +6,9 @@
 //   * an all-zero fault map is *inert* — allocation and SimStats are
 //     bit-identical to the fault-free path at every shard count;
 //   * the same seed reproduces the same map, the same allocation and the
-//     same SimStats at every shard count (campaigns are reproducible).
+//     same SimStats at every shard count (campaigns are reproducible);
+//   * redirection moves where slices live, never what they hold: the
+//     output is bit-identical to the fault-free allocation's.
 
 #include <gtest/gtest.h>
 
@@ -97,25 +99,38 @@ TEST(FaultAlloc, EmptyMapBitIdenticalForAllWorkloads) {
   }
 }
 
-/// Sample-scale compressed-path timing run with an (optionally
-/// fault-aware) untuned slice allocation — the cheap way to drive the
-/// redirection/spill timing machinery for every workload without the
-/// precision tuner.
+/// Sample-scale compressed-path timing run of `w` under slice allocation
+/// `a`; `out`, when given, receives the launch's output words.
+sim::SimStats sim_with_alloc(const wl::Workload& w,
+                             const alloc::AllocationResult& a,
+                             const sim::CompressionConfig& cc, int shards,
+                             std::vector<uint32_t>* out = nullptr) {
+  auto inst = w.make_instance(wl::Scale::kSample, 0);
+  wl::PipelineResult pr;
+  auto spec = wl::make_launch_spec(w, inst, pr, wl::SimMode::kOriginal);
+  spec.regs_per_thread = a.total_phys_regs();
+  spec.allocation = &a;
+  sim::SimOptions so;
+  so.shards = shards;
+  const sim::SimStats st =
+      sim::simulate(sim::GpuConfig::fermi_gtx480(), cc, spec, nullptr, so)
+          .stats;
+  if (out) {
+    const auto words = inst.gmem.view(inst.out_base, inst.out_words);
+    out->assign(words.begin(), words.end());
+  }
+  return st;
+}
+
+/// The same run with an (optionally fault-aware) untuned slice allocation
+/// — the cheap way to drive the redirection/spill timing machinery for
+/// every workload without the precision tuner.
 sim::SimStats fault_sim_stats(const wl::Workload& w, const rf::FaultMap* fm,
                               int shards) {
   const auto alloc = alloc::allocate_slices(w.kernel(), nullptr, nullptr,
                                             {false, false, fm});
-  auto inst = w.make_instance(wl::Scale::kSample, 0);
-  wl::PipelineResult pr;
-  auto spec = wl::make_launch_spec(w, inst, pr, wl::SimMode::kOriginal);
-  spec.regs_per_thread = alloc.total_phys_regs();
-  spec.allocation = &alloc;
-  sim::SimOptions so;
-  so.shards = shards;
-  return sim::simulate(sim::GpuConfig::fermi_gtx480(),
-                       sim::CompressionConfig::paper_default(), spec, nullptr,
-                       so)
-      .stats;
+  return sim_with_alloc(w, alloc, sim::CompressionConfig::paper_default(),
+                        shards);
 }
 
 TEST(FaultSim, ZeroFaultBitIdenticalForAllWorkloadsAndShardCounts) {
@@ -150,73 +165,46 @@ TEST(FaultSim, SameSeedSameStatsAtEveryShardCount) {
 }
 
 TEST(FaultSim, RedirectionChargesCyclesNeverCorrupts) {
-  // Fix one faulty allocation and vary only the redirection penalty: the
-  // schedule must be identical except for the charged cycles, which can
-  // only grow with the penalty.  (Comparing against the *fault-free*
-  // allocation instead would be unsound — redirection changes register
-  // pressure and thus occupancy, which legally moves cycles either way.)
-  auto w = wl::make_dwt2d();
+  // Fix one faulty allocation per workload and vary only the redirection
+  // penalty: the schedule must be identical except for the charged
+  // cycles, which can only grow with the penalty.  (Comparing cycles
+  // against the *fault-free* allocation instead would be unsound —
+  // redirection changes register pressure and thus occupancy, which
+  // legally moves cycles either way.)  Values are another matter:
+  // redirection only moves where slices live, so the output words equal
+  // the fault-free allocation's bit for bit.
   const auto fm = rf::FaultMap::generate(11, 0.10);
-  const auto alloc = alloc::allocate_slices(w->kernel(), nullptr, nullptr,
-                                            {false, false, &fm});
-  ASSERT_GT(alloc.registers_redirected + alloc.registers_spilled, 0u);
-  const auto run = [&](uint32_t penalty) {
-    auto inst = w->make_instance(wl::Scale::kSample, 0);
-    wl::PipelineResult pr;
-    auto spec = wl::make_launch_spec(*w, inst, pr, wl::SimMode::kOriginal);
-    spec.regs_per_thread = alloc.total_phys_regs();
-    spec.allocation = &alloc;
-    auto cc = sim::CompressionConfig::paper_default();
-    cc.fault_redirection_cycles = penalty;
-    return sim::simulate(sim::GpuConfig::fermi_gtx480(), cc, spec, nullptr,
-                         sim::SimOptions{})
-        .stats;
-  };
-  const auto p0 = run(0);
-  const auto p4 = run(4);
-  EXPECT_GT(p0.fault_redirected_fetches + p0.fault_spill_fetches, 0u);
-  EXPECT_GE(p4.cycles, p0.cycles);
-  // Functional results are untouched by the penalty: instruction counts
-  // and memory traffic match exactly.
-  EXPECT_EQ(p4.thread_insts, p0.thread_insts);
-  EXPECT_EQ(p4.warp_insts, p0.warp_insts);
-  EXPECT_EQ(p4.l1.accesses, p0.l1.accesses);
-  EXPECT_EQ(p4.fault_redirected_fetches, p0.fault_redirected_fetches);
-  EXPECT_EQ(p4.fault_spill_fetches, p0.fault_spill_fetches);
-}
-
-TEST(FaultSim, SpillPortWidthBoundsContention) {
-  // Fully-spilled launch (density 1.0): instructions reading several
-  // spilled sources contend for the spill store's read ports.  Widening
-  // the port count can only reduce the serialization penalty; functional
-  // behaviour and spill traffic are untouched.
-  auto w = wl::make_dwt2d();
-  const auto fm = rf::FaultMap::generate(1, 1.0);
-  const auto alloc = alloc::allocate_slices(w->kernel(), nullptr, nullptr,
-                                            {false, false, &fm});
-  ASSERT_GT(alloc.registers_spilled, 0u);
-  const auto run = [&](uint32_t ports) {
-    auto inst = w->make_instance(wl::Scale::kSample, 0);
-    wl::PipelineResult pr;
-    auto spec = wl::make_launch_spec(*w, inst, pr, wl::SimMode::kOriginal);
-    spec.regs_per_thread = alloc.total_phys_regs();
-    spec.allocation = &alloc;
-    auto cc = sim::CompressionConfig::paper_default();
-    cc.spill_ports = ports;
-    return sim::simulate(sim::GpuConfig::fermi_gtx480(), cc, spec, nullptr,
-                         sim::SimOptions{})
-        .stats;
-  };
-  const auto p1 = run(1);
-  const auto p4 = run(4);
-  EXPECT_GT(p1.spill_port_conflicts, 0u);
-  EXPECT_LT(p4.spill_port_conflicts, p1.spill_port_conflicts);
-  EXPECT_LE(p4.cycles, p1.cycles);
-  EXPECT_EQ(p4.thread_insts, p1.thread_insts);
-  EXPECT_EQ(p4.warp_insts, p1.warp_insts);
-  EXPECT_EQ(p4.fault_spill_fetches, p1.fault_spill_fetches);
-  // Values < 1 behave as a single port.
-  expect_same_sim_stats(p1, run(0), "spill_ports 0 == 1");
+  for (const auto& w : wl::make_all_workloads()) {
+    const std::string name = w->spec().name;
+    const auto plain = alloc::allocate_slices(w->kernel(), nullptr, nullptr,
+                                              {false, false});
+    const auto faulty = alloc::allocate_slices(w->kernel(), nullptr, nullptr,
+                                               {false, false, &fm});
+    ASSERT_GT(faulty.registers_redirected, 0u) << name;
+    const auto run = [&](const alloc::AllocationResult& a, uint32_t penalty,
+                         std::vector<uint32_t>* out) {
+      auto cc = sim::CompressionConfig::paper_default();
+      cc.fault_redirection_cycles = penalty;
+      return sim_with_alloc(*w, a, cc, 1, out);
+    };
+    std::vector<uint32_t> out_plain, out0, out4;
+    run(plain, 1, &out_plain);
+    const auto p0 = run(faulty, 0, &out0);
+    const auto p4 = run(faulty, 4, &out4);
+    EXPECT_GT(p0.fault_redirected_fetches, 0u) << name;
+    EXPECT_GE(p4.cycles, p0.cycles) << name;
+    // Functional results are untouched by the penalty: instruction counts
+    // and memory traffic match exactly.
+    EXPECT_EQ(p4.thread_insts, p0.thread_insts) << name;
+    EXPECT_EQ(p4.warp_insts, p0.warp_insts) << name;
+    EXPECT_EQ(p4.l1.accesses, p0.l1.accesses) << name;
+    EXPECT_EQ(p4.fault_redirected_fetches, p0.fault_redirected_fetches)
+        << name;
+    EXPECT_EQ(p4.fault_spill_fetches, p0.fault_spill_fetches) << name;
+    ASSERT_FALSE(out_plain.empty()) << name;
+    EXPECT_EQ(out0, out_plain) << name << ": redirection changed the output";
+    EXPECT_EQ(out4, out_plain) << name << ": redirection changed the output";
+  }
 }
 
 // --------------------------------------------- allocator fault handling
@@ -238,9 +226,12 @@ TEST(FaultAlloc, SaturatedMapSpillsEverythingGracefully) {
       EXPECT_EQ(e.r0.mask, 0xffu);
       EXPECT_EQ(e.float_bits, 32u);
     }
-  // The fully-spilled launch still simulates (degraded, not dead).
+  // The fully-spilled launch still simulates (degraded, not dead), and
+  // instructions with several spilled sources wait on the spill store's
+  // one read port.
   const auto st = fault_sim_stats(*w, &fm, 1);
   EXPECT_GT(st.fault_spill_fetches, 0u);
+  EXPECT_GT(st.spill_port_conflicts, 0u);
   EXPECT_GT(st.cycles, 0u);
 }
 
@@ -383,6 +374,7 @@ TEST(FaultCampaign, SweepCompletesWithProgressAndMonotoneDensities) {
     EXPECT_EQ(pt.state, JobState::kDone) << pt.error;
     EXPECT_TRUE(pt.fault.active);
     EXPECT_GT(pt.cycles, 0u);
+    EXPECT_GT(pt.blocks_per_sm, 0u);
     if (i >= 2) {  // density-major order: the 0.05 points inject more
       EXPECT_GE(pt.fault.faults_total, prev_faults);
       prev_faults = pt.fault.faults_total;
@@ -393,7 +385,16 @@ TEST(FaultCampaign, SweepCompletesWithProgressAndMonotoneDensities) {
 
   const std::string js = api::to_json(*res);
   EXPECT_NE(js.find("\"points\""), std::string::npos);
+  EXPECT_NE(js.find("\"blocks_per_sm\""), std::string::npos);
   EXPECT_TRUE(api::parse_json(js).ok());
+
+  // A rerun on the warm Engine schedules its points differently on the
+  // two workers and serializes identically.
+  Job again = engine.submit(JobRequest::fault_campaign("DWT2D", creq));
+  again.wait();
+  auto res2 = again.campaign_result();
+  ASSERT_TRUE(res2.ok()) << res2.status().to_string();
+  EXPECT_EQ(api::to_json(*res2), js);
 
   // A campaign over the baseline RF is rejected, not run.
   FaultCampaignRequest orig = creq;
@@ -401,70 +402,6 @@ TEST(FaultCampaign, SweepCompletesWithProgressAndMonotoneDensities) {
   Job bad = engine.submit(JobRequest::fault_campaign("DWT2D", orig));
   bad.wait();
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(FaultCampaign, QualityFloorTruncatesTheSweep) {
-  // With re-tuning on, dense maps trade precision for placement, so the
-  // perfect-quality delta turns strictly positive; an (absurdly low)
-  // quality floor must then stop the sweep at the first density and mark
-  // the result truncated.  Two workers run the points side by side, so a
-  // 0.95 point may start before the 0.9 density completes: it still
-  // reports "not run", and the result is the same on every schedule.
-  TempDir dir("gpurf_test_cache_camp_floor");
-  Engine engine(EngineOptions()
-                    .with_threads(2)
-                    .with_cache_dir(dir.path)
-                    .with_async_workers(2)
-                    .with_max_inflight(2));
-  FaultCampaignRequest creq;
-  creq.sim.mode = wl::SimMode::kCompressedPerfect;
-  creq.sim.scale = wl::Scale::kSample;
-  creq.sim.retune_on_faults = true;
-  creq.densities = {0.9, 0.95};
-  creq.maps_per_density = 2;
-  creq.base_seed = 33;
-  creq.quality_floor = 1e-12;
-  Job job = engine.submit(JobRequest::fault_campaign("SSAO", creq));
-  job.wait();
-  ASSERT_EQ(job.state(), JobState::kDone) << job.status().to_string();
-  auto res = job.campaign_result();
-  ASSERT_TRUE(res.ok()) << res.status().to_string();
-  ASSERT_EQ(res->points.size(), 4u);
-  // The floor forces quality scoring on even though the request didn't.
-  ASSERT_EQ(res->points[0].state, JobState::kDone) << res->points[0].error;
-  EXPECT_TRUE(res->points[0].fault.quality_scored);
-  EXPECT_TRUE(res->truncated);
-  EXPECT_EQ(res->truncated_at_density, 0.9);
-  for (size_t i = 2; i < 4; ++i) {
-    EXPECT_EQ(res->points[i].density, 0.95);
-    EXPECT_EQ(res->points[i].state, JobState::kCancelled);
-    EXPECT_NE(res->points[i].error.find("not run"), std::string::npos)
-        << res->points[i].error;
-    EXPECT_EQ(res->points[i].cycles, 0u);
-  }
-  const std::string js = api::to_json(*res);
-  EXPECT_NE(js.find("\"truncated\":true"), std::string::npos) << js;
-  EXPECT_NE(js.find("\"truncated_at_density\""), std::string::npos);
-  EXPECT_TRUE(api::parse_json(js).ok());
-
-  // A rerun on the warm Engine schedules differently and reads the same.
-  Job again = engine.submit(JobRequest::fault_campaign("SSAO", creq));
-  again.wait();
-  auto res2 = again.campaign_result();
-  ASSERT_TRUE(res2.ok()) << res2.status().to_string();
-  EXPECT_EQ(api::to_json(*res2), js);
-
-  // Without a floor the same sweep runs to completion untruncated (some
-  // points may individually fail at these extreme densities — that's a
-  // per-point outcome, not a truncation).
-  creq.quality_floor = 0.0;
-  Job all = engine.submit(JobRequest::fault_campaign("SSAO", creq));
-  all.wait();
-  ASSERT_EQ(all.state(), JobState::kDone) << all.status().to_string();
-  auto full = all.campaign_result();
-  ASSERT_TRUE(full.ok());
-  EXPECT_FALSE(full->truncated);
-  EXPECT_EQ(full->points.size(), 4u);
 }
 
 TEST(FaultCampaign, CancelLeavesNoPartialCacheState) {

@@ -14,8 +14,9 @@
 //   area    transistor-count area overhead (§6.4)
 //   power   dynamic read energy vs. a 2x register file (§6.5)
 //   volta   scaling to a V100-like part (§7)
-//   faults  permanent-fault degradation curves (default: DWT2D Hotspot
-//           Hybridsort SSAO, full scale)
+//   faults  permanent-fault redirection: coverage, cycle overhead and
+//           blocks per SM per density (default: DWT2D Hotspot Hybridsort
+//           SSAO IMGVF Pathtracer Hotspot3D, full scale)
 //   soft    transient soft-error vulnerability (default: all workloads,
 //           sample scale); exits 1 if a compressed live-bit cross-section
 //           exceeds the baseline's
@@ -407,9 +408,13 @@ struct Agg {
 // fault maps of rising density, each density one fault_campaign point
 // set.  Coverage is the share of affected registers redirected into
 // compression-freed slices rather than spilled; overhead is cycles
-// against the fault-free run, which is also the density-0 row.
+// against the fault-free run, which is also the density-0 row.  The cost
+// that grows with density is occupancy: redirected registers need more
+// physical registers, so fewer blocks fit on an SM.
 int faults(std::vector<std::string> names) {
-  if (names.empty()) names = {"DWT2D", "Hotspot", "Hybridsort", "SSAO"};
+  if (names.empty())
+    names = {"DWT2D", "Hotspot", "Hybridsort", "SSAO",
+             "IMGVF", "Pathtracer", "Hotspot3D"};
   constexpr int kMaps = 4;
   Engine engine;
   struct Curve {
@@ -422,8 +427,9 @@ int faults(std::vector<std::string> names) {
     base.scale = wl::Scale::kFull;
     gpurf::FaultCampaignRequest fc;
     fc.sim = base;
-    fc.sim.fault.score_quality = true;
-    fc.densities = {0.005, 0.01, 0.02, 0.05};
+    // Point seeds follow the point index, so appended densities leave the
+    // maps of the earlier ones unchanged.
+    fc.densities = {0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5};
     fc.maps_per_density = kMaps;
     curves.push_back({engine.submit(JobRequest::simulate(name, base)),
                       engine.submit(JobRequest::fault_campaign(name, fc))});
@@ -432,9 +438,9 @@ int faults(std::vector<std::string> names) {
   std::printf("Permanent faults: compression-directed redirection "
               "(full scale, perfect quality, %d maps/density)\n",
               kMaps);
-  std::printf("%-11s %8s %8s %22s %6s %6s %24s %8s\n", "Kernel", "density",
+  std::printf("%-11s %8s %8s %22s %6s %6s %24s %s\n", "Kernel", "density",
               "faults", "coverage mean[min,max]", "redir", "spill",
-              "overhead mean[min,max]", "qdelta");
+              "overhead mean[min,max]", "blocks/SM mean[min,max]");
   int failures = 0;
   for (size_t w = 0; w < names.size(); ++w) {
     const char* name = names[w].c_str();
@@ -449,16 +455,17 @@ int faults(std::vector<std::string> names) {
       continue;
     }
     const auto& f0 = ref->fault;
+    const double b0 = ref->occupancy.blocks_per_sm;
     std::printf("%-11s %8.3f %8.1f %7.1f%% [%5.1f,%5.1f] %6.1f %6.1f "
-                "%8.3fx [%.3f,%.3f]\n",
+                "%8.3fx [%.3f,%.3f] %6.2f [%.0f,%.0f]\n",
                 name, 0.0, double(f0.faults_total), f0.coverage_pct,
                 f0.coverage_pct, f0.coverage_pct,
                 double(f0.registers_redirected), double(f0.registers_spilled),
-                1.0, 1.0, 1.0);
+                1.0, 1.0, 1.0, b0, b0, b0);
     const double ref_cycles = double(ref->stats.cycles);
     for (size_t i = 0; i < res->points.size();) {
       const double density = res->points[i].density;
-      Agg cover, overhead, qdelta, nfaults, redir, spill;
+      Agg cover, overhead, blocks, nfaults, redir, spill;
       for (; i < res->points.size() && res->points[i].density == density;
            ++i) {
         const auto& pt = res->points[i];
@@ -474,16 +481,15 @@ int faults(std::vector<std::string> names) {
         redir.add(pt.fault.registers_redirected);
         spill.add(pt.fault.registers_spilled);
         overhead.add(ref_cycles > 0 ? double(pt.cycles) / ref_cycles : 0.0);
-        if (pt.fault.quality_scored) qdelta.add(pt.fault.quality_delta);
+        blocks.add(pt.blocks_per_sm);
       }
       if (!cover.n) continue;
       std::printf("%-11s %8.3f %8.1f %7.1f%% [%5.1f,%5.1f] %6.1f %6.1f "
-                  "%8.3fx [%.3f,%.3f]",
+                  "%8.3fx [%.3f,%.3f] %6.2f [%.0f,%.0f]\n",
                   name, density, nfaults.mean(), cover.mean(), cover.lo,
                   cover.hi, redir.mean(), spill.mean(), overhead.mean(),
-                  overhead.lo, overhead.hi);
-      if (qdelta.n) std::printf(" %+8.4f", qdelta.mean());
-      std::printf("\n");
+                  overhead.lo, overhead.hi, blocks.mean(), blocks.lo,
+                  blocks.hi);
     }
   }
   return failures ? 1 : 0;
