@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
     }
     const wl::Workload& w = **lookup;
     const auto& k = w.kernel();
-    const auto inst = w.make_instance(wl::Scale::kFull, 0);
-    const auto ranges = gpurf::analysis::analyze_ranges(k, inst.launch);
+    const auto ranges =
+        gpurf::analysis::analyze_ranges(k, w.launch(wl::Scale::kFull));
 
     uint32_t f32 = 0, ints = 0, preds = 0;
     for (const auto& r : k.regs) {

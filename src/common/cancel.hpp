@@ -121,6 +121,7 @@ class CancelToken {
   /// Coarse worker counters (relaxed: monotone hints, not synchronisation).
   std::atomic<int> tuner_pass{0};          ///< current fixpoint pass (1-based)
   std::atomic<int> tuner_evaluations{0};   ///< quality probes so far
+  std::atomic<uint64_t> replays{0};        ///< functional replays started
   std::atomic<uint64_t> sim_cycles{0};     ///< simulated cycles so far
   std::atomic<int> campaign_maps_done{0};  ///< fault maps finished (PR 6)
   std::atomic<int> campaign_maps_total{0}; ///< fault maps in the campaign

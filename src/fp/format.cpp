@@ -100,9 +100,60 @@ float decode(uint32_t bits, const FloatFormat& fmt) {
                     man32);
 }
 
+namespace {
+
+/// One narrow format's rounding, in binary32 bit-pattern terms.  Rounding
+/// the magnitude bits to `man_bits` mantissa bits lets a mantissa carry run
+/// into the exponent field, as encode()'s mantissa overflow does, and the
+/// re-biased exponent limits become plain magnitude thresholds.
+struct Rounding {
+  uint32_t drop;        ///< mantissa bits the format drops (23 - man_bits)
+  uint32_t half_less;   ///< half the dropped range minus one
+  uint32_t keep;        ///< mask that clears the dropped bits
+  uint32_t min_normal;  ///< smallest normal of the format; below -> +/-0
+  uint32_t inf_at;      ///< first magnitude past the largest finite value
+};
+
+Rounding rounding_of(const FloatFormat& fmt) {
+  const uint32_t drop = 23u - static_cast<uint32_t>(fmt.man_bits);
+  // With bias 2^(exp_bits-1) - 1, the normals' unbiased exponents run
+  // from 2 - 2^(exp_bits-1) to 2^(exp_bits-1) - 1: binary32 exponent
+  // fields 129 - 2^(exp_bits-1) to 126 + 2^(exp_bits-1).
+  const uint32_t half_range = 1u << (fmt.exp_bits - 1);
+  return {drop, (1u << (drop - 1)) - 1u, ~((1u << drop) - 1u),
+          (129u - half_range) << 23, (127u + half_range) << 23};
+}
+
+/// decode(encode(x)) on the binary32 bit pattern `x`, as selects only (no
+/// branch), so the warp loop below vectorizes.  Adding half the dropped
+/// range minus one, plus the kept LSB, then clearing the dropped bits
+/// rounds to nearest with ties to even.  Then encode()'s rules: a result
+/// at or past the format's range saturates to infinity (Inf itself stays
+/// Inf), one below its smallest normal flushes to zero (binary32
+/// denormals included), and NaN becomes the quiet NaN; the sign is kept.
+inline uint32_t round_bits(uint32_t x, const Rounding& r) {
+  const uint32_t mag = x & 0x7fffffffu;
+  uint32_t q = (mag + r.half_less + ((mag >> r.drop) & 1u)) & r.keep;
+  q = q >= r.inf_at ? 0x7f800000u : q;
+  q = q < r.min_normal ? 0u : q;
+  q = mag > 0x7f800000u ? 0x7fc00000u : q;
+  return (x & 0x80000000u) | q;
+}
+
+/// Bit l of a warp mask: a table load, not a per-lane variable shift, so
+/// the masked loop vectorizes without AVX2.
+alignas(64) constexpr uint32_t kLaneBit[32] = {
+    1u << 0,  1u << 1,  1u << 2,  1u << 3,  1u << 4,  1u << 5,  1u << 6,
+    1u << 7,  1u << 8,  1u << 9,  1u << 10, 1u << 11, 1u << 12, 1u << 13,
+    1u << 14, 1u << 15, 1u << 16, 1u << 17, 1u << 18, 1u << 19, 1u << 20,
+    1u << 21, 1u << 22, 1u << 23, 1u << 24, 1u << 25, 1u << 26, 1u << 27,
+    1u << 28, 1u << 29, 1u << 30, 1u << 31};
+
+}  // namespace
+
 float quantize(float v, const FloatFormat& fmt) {
   if (fmt.is_fp32()) return v;
-  return decode(encode(v, fmt), fmt);
+  return bits_float(round_bits(float_bits(v), rounding_of(fmt)));
 }
 
 bool exactly_representable(float v, const FloatFormat& fmt) {
@@ -113,14 +164,11 @@ bool exactly_representable(float v, const FloatFormat& fmt) {
 
 void quantize_warp(uint32_t* bits, uint32_t mask, const FloatFormat& fmt) {
   if (fmt.is_fp32()) return;
-  if (mask == 0xffffffffu) {
-    for (int l = 0; l < 32; ++l)
-      bits[l] = float_bits(decode(encode(bits_float(bits[l]), fmt), fmt));
-    return;
+  const Rounding r = rounding_of(fmt);
+  for (int l = 0; l < 32; ++l) {
+    const uint32_t q = round_bits(bits[l], r);
+    bits[l] = (mask & kLaneBit[l]) ? q : bits[l];
   }
-  for (int l = 0; l < 32; ++l)
-    if ((mask >> l) & 1u)
-      bits[l] = float_bits(decode(encode(bits_float(bits[l]), fmt), fmt));
 }
 
 }  // namespace gpurf::fp

@@ -61,7 +61,9 @@ float decode(uint32_t bits, const FloatFormat& fmt);
 
 /// decode(encode(v)) — the value that a register-file slice actually
 /// stores.  This is the quantization applied on every f32 register write
-/// when a precision assignment is active.
+/// when a precision assignment is active.  It rounds the binary32 bit
+/// pattern once instead of encoding and decoding, and equals
+/// decode(encode(v)) bit for bit on every input.
 float quantize(float v, const FloatFormat& fmt);
 
 /// True if quantize(v, fmt) reproduces v bit-exactly (NaN compares true
@@ -70,8 +72,9 @@ bool exactly_representable(float v, const FloatFormat& fmt);
 
 /// Warp-wide quantization for the SoA interpreter: quantize the 32 lanes of
 /// `bits` (binary32 bit patterns) in place, lane l only when bit l of `mask`
-/// is set.  Bit-identical to calling quantize() per active lane; one call
-/// per warp write keeps encode/decode inlined in one translation unit.
+/// is set; inactive lanes keep their bits.  Bit-identical to calling
+/// quantize() per active lane.  The lane loop is written as selects, with
+/// no branch, so the compiler vectorizes it.
 void quantize_warp(uint32_t* bits, uint32_t mask, const FloatFormat& fmt);
 
 }  // namespace gpurf::fp

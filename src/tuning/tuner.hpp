@@ -68,9 +68,8 @@ struct TunerOptions {
   /// probe contract makes evaluate() a pure function of the pmap, so the
   /// validation score always equals the score of the last accepted
   /// evaluation; callers that tune several quality levels back-to-back
-  /// (the pipeline tunes perfect + high) set this and batch all final
-  /// validations through one QualityProbe::evaluate_batch call instead of
-  /// running them serially.  final_score is still set (to the accepted
+  /// (the pipeline tunes perfect + high) set this and replay all final
+  /// validations as one batch instead of running them serially.  final_score is still set (to the accepted
   /// score) and the deferred validation must still be performed by the
   /// caller — see workloads::compute_pipeline.
   bool defer_validation = false;
@@ -86,7 +85,10 @@ struct TunerOptions {
 
 struct TuneResult {
   exec::PrecisionMap pmap;     ///< format per register (f32 regs narrowed)
-  int evaluations = 0;         ///< number of functional quality probes
+  /// Candidate assignments scored, the final validation included.  A
+  /// probe may answer a pmap it has scored before without replaying it
+  /// (workloads' probes memoize); such an answer still counts here.
+  int evaluations = 0;
   int f32_regs = 0;            ///< number of tuned registers
   int slices_before = 0;       ///< total f32 slices at 32-bit
   int slices_after = 0;        ///< total f32 slices after tuning

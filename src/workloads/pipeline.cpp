@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -29,6 +30,12 @@ using gpurf::quality::QualityLevel;
 /// evaluate() is safe to call concurrently (required by the tuner's
 /// speculative batch mode) and itself fans the variants out across the
 /// current thread pool when called from the serial path.
+///
+/// Scores are memoized per probe, keyed by the pmap's formats: the tuner
+/// asks again for assignments it has scored (the all-fp32 start of every
+/// tune, a fixpoint pass that changes nothing, and the high tune
+/// retracing the perfect one), and evaluate() is a pure function of the
+/// formats, so a memo hit returns the score a replay would.
 class WorkloadProbe final : public gpurf::tuning::QualityProbe {
  public:
   WorkloadProbe(const Workload& w, const RunOptions& run) : w_(w), run_(run) {
@@ -47,14 +54,48 @@ class WorkloadProbe final : public gpurf::tuning::QualityProbe {
     return evaluate_batch({&pmap})[0];
   }
 
-  /// The probe's one fan-out, at (candidate x variant) granularity: the
-  /// tuner's speculative chain of K candidates becomes K * num_variants
-  /// independent functional replays, so the pool stays saturated even when
-  /// K is smaller than the thread count (e.g. right after the adaptive
-  /// width shrank).  Each candidate's pessimistic fold runs in variant
-  /// order, so scores do not depend on which thread replayed what.
+  /// Memo lookups, then one replay_batch() over the candidates not scored
+  /// yet.  Two callers that miss the same pmap concurrently both replay
+  /// it; their scores are equal and the first insert stays.
   std::vector<double> evaluate_batch(
       const std::vector<const gpurf::exec::PrecisionMap*>& pmaps) override {
+    std::vector<double> scores(pmaps.size(), 0.0);
+    std::vector<std::string> keys(pmaps.size());
+    std::vector<const gpurf::exec::PrecisionMap*> misses;
+    std::vector<size_t> miss_at;
+    {
+      gpurf::common::MutexLock lock(memo_mu_);
+      for (size_t c = 0; c < pmaps.size(); ++c) {
+        keys[c] = memo_key(*pmaps[c]);
+        const auto it = memo_.find(keys[c]);
+        if (it != memo_.end()) {
+          scores[c] = it->second;
+        } else {
+          misses.push_back(pmaps[c]);
+          miss_at.push_back(c);
+        }
+      }
+    }
+    if (misses.empty()) return scores;
+    const std::vector<double> fresh = replay_batch(misses);
+    gpurf::common::MutexLock lock(memo_mu_);
+    for (size_t i = 0; i < misses.size(); ++i) {
+      scores[miss_at[i]] = fresh[i];
+      memo_.emplace(std::move(keys[miss_at[i]]), fresh[i]);
+    }
+    return scores;
+  }
+
+  /// Replay every candidate, memo or not: the probe's one fan-out, at
+  /// (candidate x variant) granularity.  The tuner's speculative chain of
+  /// K candidates becomes K * num_variants independent functional
+  /// replays, so the pool stays saturated even when K is smaller than the
+  /// thread count (e.g. right after the adaptive width shrank).  Each
+  /// candidate's pessimistic fold runs in variant order, so scores do not
+  /// depend on which thread replayed what.  The pipeline's final
+  /// validation calls it directly, so that check really runs the kernel.
+  std::vector<double> replay_batch(
+      const std::vector<const gpurf::exec::PrecisionMap*>& pmaps) {
     const size_t nv = protos_.size();
     const size_t nc = pmaps.size();
     std::vector<double> grid(nc * nv, 0.0);
@@ -89,11 +130,26 @@ class WorkloadProbe final : public gpurf::tuning::QualityProbe {
                                                          : std::min(a, b);
   }
 
+  /// Every field of every register's format, one byte each: what the
+  /// replay's quantization reads.
+  static std::string memo_key(const gpurf::exec::PrecisionMap& pmap) {
+    std::string key;
+    key.reserve(3 * pmap.per_reg.size());
+    for (const auto& f : pmap.per_reg) {
+      key.push_back(static_cast<char>(f.total_bits));
+      key.push_back(static_cast<char>(f.exp_bits));
+      key.push_back(static_cast<char>(f.man_bits));
+    }
+    return key;
+  }
+
   const Workload& w_;
   RunOptions run_;
   std::vector<Workload::Instance> protos_;
   std::vector<std::unique_ptr<gpurf::quality::QualityMetric>> metrics_;
   std::vector<std::vector<float>> refs_;
+  gpurf::common::Mutex memo_mu_;
+  std::unordered_map<std::string, double> memo_ GPURF_GUARDED_BY(memo_mu_);
 };
 
 /// Cache schema version.  v1 files (headerless "bp bh" rows) are rejected
@@ -244,13 +300,11 @@ PipelineResult compute_pipeline(const Workload& w,
     tok->checkpoint();
   };
 
-  // Launch geometry of the full-scale run drives the special-register
-  // ranges; sample and full instances share block dimensions.
-  const auto inst = w.make_instance(Scale::kFull, 0);
-
-  // 1. Integer range analysis (§4.2).
+  // 1. Integer range analysis (§4.2).  The full-scale launch geometry
+  // drives the special-register ranges; sample and full instances share
+  // block dimensions.
   enter_stage(gpurf::common::JobStage::kRanges);
-  pr.ranges = analysis::analyze_ranges(k, inst.launch);
+  pr.ranges = analysis::analyze_ranges(k, w.launch(Scale::kFull));
 
   // 2. Float precision tuning (§4.1), two thresholds (§6.1).  A stale or
   // corrupt disk-cache entry (non-OK, non-NotFound load) falls through to
@@ -287,7 +341,9 @@ PipelineResult compute_pipeline(const Workload& w,
     // Both final validation probes run as one batch after the second tune
     // instead of serially inside each call (they are independent replays,
     // so the pool overlaps them).  Scores are bit-identical to the serial
-    // path: evaluate() is a pure function of the pmap.
+    // path: evaluate() is a pure function of the pmap.  One probe serves
+    // both tunes, so its memo spares the high tune every assignment the
+    // perfect tune already scored; the validations bypass the memo.
     topt.defer_validation = true;
     topt.level = QualityLevel::kPerfect;
     pr.tune_perfect = gpurf::tuning::tune_precision(k, probe, topt);
@@ -297,7 +353,7 @@ PipelineResult compute_pipeline(const Workload& w,
     enter_stage(gpurf::common::JobStage::kValidating);
     const std::vector<const gpurf::exec::PrecisionMap*> finals = {
         &pr.tune_perfect.pmap, &pr.tune_high.pmap};
-    const std::vector<double> scores = probe.evaluate_batch(finals);
+    const std::vector<double> scores = probe.replay_batch(finals);
     pr.tune_perfect.final_score = scores[0];
     pr.tune_high.final_score = scores[1];
     ++pr.tune_perfect.evaluations;

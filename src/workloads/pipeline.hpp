@@ -102,7 +102,8 @@ PipelineResult compute_pipeline(const Workload& w,
 /// itself (Engine::tune) without touching the memoized pipeline result.
 /// Construction replays every sample variant once to build the
 /// references; `run.cancel` threads into those replays and all later
-/// evaluations.
+/// evaluations.  The probe memoizes scores by the pmap's formats, so
+/// asking again for a pmap it has scored replays nothing.
 std::unique_ptr<gpurf::tuning::QualityProbe> make_workload_probe(
     const Workload& w, const RunOptions& run);
 

@@ -356,12 +356,15 @@ class CfdWorkload final : public Workload {
                               2, 60, 6, /*assume_disjoint=*/true},
                  kAsm) {}
 
+  gpurf::ir::LaunchConfig launch(Scale scale) const override {
+    return {.grid_x = scale == Scale::kFull ? 120u : 6u, .block_x = 192};
+  }
+
   Instance make_instance(Scale scale, uint32_t variant) const override {
     Instance inst;
-    const uint32_t blocks = scale == Scale::kFull ? 120 : 6;
-    const uint32_t ncells = blocks * 192;
-    inst.launch.grid_x = blocks;
-    inst.launch.block_x = 192;
+    inst.launch = launch(scale);
+    const uint32_t ncells =
+        inst.launch.num_blocks() * inst.launch.threads_per_block();
 
     gpurf::Pcg32 rng(0xCFDu + variant, 17);
     std::vector<float> vars(size_t(ncells) * 5);

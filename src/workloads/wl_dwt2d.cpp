@@ -279,12 +279,15 @@ class Dwt2dWorkload final : public Workload {
                               2, 38, 6},
                  kAsm) {}
 
+  gpurf::ir::LaunchConfig launch(Scale scale) const override {
+    return {.grid_x = scale == Scale::kFull ? 120u : 8u, .block_x = 192};
+  }
+
   Instance make_instance(Scale scale, uint32_t variant) const override {
     Instance inst;
-    const uint32_t blocks = scale == Scale::kFull ? 120 : 8;
-    const uint32_t nsegs = blocks * 192;
-    inst.launch.grid_x = blocks;
-    inst.launch.block_x = 192;
+    inst.launch = launch(scale);
+    const uint32_t nsegs =
+        inst.launch.num_blocks() * inst.launch.threads_per_block();
 
     gpurf::Pcg32 rng(0xD7D2u + variant, 5);
     std::vector<uint32_t> packed(size_t(nsegs) * 4);

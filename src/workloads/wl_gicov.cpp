@@ -252,13 +252,16 @@ class GicovWorkload final : public Workload {
                               2, 24, 6},
                  kAsm) {}
 
+  gpurf::ir::LaunchConfig launch(Scale scale) const override {
+    return {.grid_x = scale == Scale::kFull ? 108u : 8u, .block_x = 192};
+  }
+
   Instance make_instance(Scale scale, uint32_t variant) const override {
     Instance inst;
-    const uint32_t blocks = scale == Scale::kFull ? 108 : 8;
-    const uint32_t npix = blocks * 192;
+    inst.launch = launch(scale);
+    const uint32_t npix =
+        inst.launch.num_blocks() * inst.launch.threads_per_block();
     const uint32_t width = 384;
-    inst.launch.grid_x = blocks;
-    inst.launch.block_x = 192;
 
     gpurf::Pcg32 rng(0x61C0u + variant, 11);
     const int grad_h = 256;

@@ -217,15 +217,17 @@ class Hotspot3DWorkload final : public Workload {
                               8, /*assume_disjoint=*/true},
                  kAsm) {}
 
+  gpurf::ir::LaunchConfig launch(Scale scale) const override {
+    const uint32_t tiles = scale == Scale::kFull ? 12 : 4;
+    return {.grid_x = tiles, .grid_y = tiles, .block_x = 16, .block_y = 16};
+  }
+
   Instance make_instance(Scale scale, uint32_t variant) const override {
     Instance inst;
-    const uint32_t tiles = scale == Scale::kFull ? 12 : 4;
-    const uint32_t w = tiles * 16, h = tiles * 16;
+    inst.launch = launch(scale);
+    const uint32_t w = inst.launch.grid_x * inst.launch.block_x;
+    const uint32_t h = inst.launch.grid_y * inst.launch.block_y;
     const uint32_t d = scale == Scale::kFull ? 8 : 4;
-    inst.launch.grid_x = tiles;
-    inst.launch.grid_y = tiles;
-    inst.launch.block_x = 16;
-    inst.launch.block_y = 16;
 
     gpurf::Pcg32 rng(0x3D07u + variant, 13);
     std::vector<float> temp(size_t(w) * h * d), power(size_t(w) * h * d);

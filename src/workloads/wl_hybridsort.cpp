@@ -150,12 +150,15 @@ class HybridsortWorkload final : public Workload {
                               /*assume_disjoint=*/true},
                  build_asm()) {}
 
+  gpurf::ir::LaunchConfig launch(Scale scale) const override {
+    return {.grid_x = scale == Scale::kFull ? 96u : 8u, .block_x = 256};
+  }
+
   Instance make_instance(Scale scale, uint32_t variant) const override {
     Instance inst;
-    const uint32_t blocks = scale == Scale::kFull ? 96 : 8;
-    const uint32_t nthreads = blocks * 256;
-    inst.launch.grid_x = blocks;
-    inst.launch.block_x = 256;
+    inst.launch = launch(scale);
+    const uint32_t nthreads =
+        inst.launch.num_blocks() * inst.launch.threads_per_block();
 
     gpurf::Pcg32 rng(0xB5047u + variant, 3);
     std::vector<float> keys(size_t(nthreads) * 16);

@@ -288,12 +288,15 @@ class ImgvfWorkload final : public Workload {
                               2, 52, 10},
                  kAsm) {}
 
+  gpurf::ir::LaunchConfig launch(Scale scale) const override {
+    return {.grid_x = scale == Scale::kFull ? 120u : 2u, .block_x = 320};
+  }
+
   Instance make_instance(Scale scale, uint32_t variant) const override {
     Instance inst;
-    const uint32_t blocks = scale == Scale::kFull ? 120 : 2;
+    inst.launch = launch(scale);
+    const uint32_t blocks = inst.launch.grid_x;
     const uint32_t iters = scale == Scale::kFull ? 4 : 2;
-    inst.launch.grid_x = blocks;
-    inst.launch.block_x = 320;
 
     gpurf::Pcg32 rng(0x1364Fu + variant, 29);
     std::vector<float> img(size_t(blocks) * 1792);

@@ -343,14 +343,16 @@ class PathtracerWorkload final : public Workload {
                               1, 50, 8, /*assume_disjoint=*/true},
                  kAsm) {}
 
+  gpurf::ir::LaunchConfig launch(Scale scale) const override {
+    const uint32_t tiles = scale == Scale::kFull ? 12 : 3;
+    return {.grid_x = tiles, .grid_y = tiles, .block_x = 16, .block_y = 16};
+  }
+
   Instance make_instance(Scale scale, uint32_t /*variant*/) const override {
     Instance inst;
-    const uint32_t tiles = scale == Scale::kFull ? 12 : 3;
-    const uint32_t w = tiles * 16, h = tiles * 16;
-    inst.launch.grid_x = tiles;
-    inst.launch.grid_y = tiles;
-    inst.launch.block_x = 16;
-    inst.launch.block_y = 16;
+    inst.launch = launch(scale);
+    const uint32_t w = inst.launch.grid_x * inst.launch.block_x;
+    const uint32_t h = inst.launch.grid_y * inst.launch.block_y;
 
     const uint32_t out_base = inst.gmem.alloc(size_t(w) * h);
     inst.params = {out_base, w};

@@ -74,7 +74,10 @@ std::vector<float> Workload::run(
     const RunOptions& opt) const {
   // Replay-granular stop: a cancelled tuning job aborts before the next
   // replay starts, never in the middle of one.
-  if (opt.cancel) opt.cancel->checkpoint();
+  if (opt.cancel) {
+    opt.cancel->checkpoint();
+    opt.cancel->replays.fetch_add(1, std::memory_order_relaxed);
+  }
   gpurf::exec::ExecContext ctx;
   ctx.kernel = &kernel_;
   ctx.launch = inst.launch;

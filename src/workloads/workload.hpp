@@ -53,7 +53,8 @@ struct RunOptions {
   uint64_t* thread_insts = nullptr;  ///< out: executed thread instructions
   /// Cooperative cancellation/deadline checkpoint, polled at the start of
   /// every functional replay (a replay itself always runs to completion,
-  /// so replays never leave partial state).  Null disables it.
+  /// so replays never leave partial state), which also counts the replay
+  /// in the token's `replays`.  Null disables both.
   gpurf::common::CancelToken* cancel = nullptr;
 };
 
@@ -85,6 +86,11 @@ class Workload {
     });
     return analysis_;
   }
+
+  /// Launch geometry of every instance at `scale`, whatever the variant.
+  /// make_instance() builds its instances with it; the pipeline's range
+  /// analysis reads it without building the inputs.
+  virtual gpurf::ir::LaunchConfig launch(Scale scale) const = 0;
 
   /// Build a fresh deterministic instance.  `variant` selects among the
   /// representative sample inputs the tuner trains on (§4.1).

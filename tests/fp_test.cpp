@@ -1,10 +1,17 @@
 // Tests for the Table-3 reduced-precision float formats: encoding layout,
-// round-to-nearest-even, special values, denormal flush, and parameterized
-// properties across all seven formats.
+// round-to-nearest-even, special values, denormal flush, parameterized
+// properties across all seven formats, and the oracle that pins
+// quantize()/quantize_warp() to decode(encode(x)).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/bitutil.hpp"
 #include "common/rng.hpp"
@@ -183,6 +190,169 @@ INSTANTIATE_TEST_SUITE_P(AllWidths, FormatProperty,
                          [](const ::testing::TestParamInfo<int>& i) {
                            return "bits" + std::to_string(i.param);
                          });
+
+// ------------------------------------------------------- rounding oracle
+//
+// quantize() and quantize_warp() round the binary32 bit pattern directly.
+// Their definition is the register file's round trip, decode(encode(x)),
+// so that is the oracle, on every narrow format.
+
+uint32_t oracle(uint32_t x, const FloatFormat& f) {
+  return float_bits(decode(encode(bits_float(x), f), f));
+}
+
+/// Feeds patterns through quantize() and, a warp at a time, through
+/// quantize_warp(), and counts the patterns where either differs from the
+/// oracle.  A partial last warp runs under a mask of its filled lanes.
+struct OracleCheck {
+  explicit OracleCheck(const FloatFormat& fmt) : f(fmt) {}
+
+  void add(uint32_t x) {
+    warp[n++] = x;
+    if (n == 32) flush();
+  }
+
+  void flush() {
+    uint32_t q[32];
+    std::copy(warp, warp + 32, q);
+    quantize_warp(q, n == 32 ? 0xffffffffu : low_mask(n), f);
+    for (int l = 0; l < n; ++l) {
+      const uint32_t want = oracle(warp[l], f);
+      const uint32_t scalar = float_bits(quantize(bits_float(warp[l]), f));
+      if (scalar != want || q[l] != want) {
+        if (mismatches == 0) first = {warp[l], want, scalar, q[l]};
+        ++mismatches;
+      }
+    }
+    checked += static_cast<uint64_t>(n);
+    n = 0;
+  }
+
+  /// "" when every pattern matched, else the count and the first one.
+  std::string verdict() {
+    flush();
+    if (mismatches == 0) return "";
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "%llu of %llu patterns differ at %d bits; first 0x%08x: "
+                  "oracle 0x%08x, quantize 0x%08x, quantize_warp 0x%08x",
+                  static_cast<unsigned long long>(mismatches),
+                  static_cast<unsigned long long>(checked), f.total_bits,
+                  first[0], first[1], first[2], first[3]);
+    return buf;
+  }
+
+  FloatFormat f;
+  uint32_t warp[32] = {};
+  int n = 0;
+  uint64_t checked = 0;
+  uint64_t mismatches = 0;
+  std::array<uint32_t, 4> first = {};
+};
+
+std::vector<FloatFormat> narrow_formats() {
+  std::vector<FloatFormat> out;
+  for (const auto& f : table3_formats())
+    if (!f.is_fp32()) out.push_back(f);
+  return out;
+}
+
+TEST(QuantizeOracle, EveryExponentAtEveryRoundingPoint) {
+  for (const auto& f : narrow_formats()) {
+    const int drop = 23 - f.man_bits;
+    const uint32_t half = 1u << (drop - 1);
+    const uint32_t all_kept = low_mask(f.man_bits);
+    // Dropped bits below, at and above the tie; kept LSB even and odd; and
+    // kept bits all ones, where rounding up carries into the exponent.
+    const uint32_t dropped[] = {0, 1, half - 1, half, half + 1,
+                                low_mask(drop)};
+    const uint32_t kept[] = {0, 1, 2, 3, 0x55555u & all_kept,
+                             0x2aaaau & all_kept, all_kept - 1, all_kept};
+    OracleCheck check(f);
+    for (uint32_t sign = 0; sign < 2; ++sign)
+      for (uint32_t exp = 0; exp < 256; ++exp)
+        for (uint32_t k : kept)
+          for (uint32_t d : dropped)
+            check.add((sign << 31) | (exp << 23) | (k << drop) | d);
+    EXPECT_EQ(check.verdict(), "");
+    EXPECT_EQ(check.checked, 2u * 256 * 8 * 6);
+  }
+}
+
+TEST(QuantizeOracle, SpecialValues) {
+  const uint32_t specials[] = {
+      0x00000000u, 0x7f800000u,               // zero, infinity
+      0x7fc00000u, 0x7f800001u, 0x7fffffffu,  // NaN: quiet, low payloads
+      0x7f801000u, 0x7fa00000u, 0x7f80ffffu,
+      0x00000001u, 0x00400000u, 0x007fffffu,  // binary32 denormals
+      0x00800000u, 0x00800001u,               // smallest binary32 normals
+      0x7f7fffffu, 0x7f000000u};              // largest binary32 normals
+  for (const auto& f : narrow_formats()) {
+    OracleCheck check(f);
+    for (uint32_t x : specials) {
+      check.add(x);
+      check.add(x | 0x80000000u);
+    }
+    EXPECT_EQ(check.verdict(), "");
+  }
+}
+
+TEST(QuantizeOracle, OddStrideThroughAllPatterns) {
+  // An odd stride visits every residue mod 2^32 before repeating, so this
+  // walks an even sample of the whole pattern space (1 in 256 patterns).
+  constexpr uint32_t kStride = 0x9e3779b9u;
+  constexpr uint32_t kSteps = 1u << 24;
+  for (const auto& f : narrow_formats()) {
+    OracleCheck check(f);
+    uint32_t x = 0x12345678u;
+    for (uint32_t i = 0; i < kSteps; ++i, x += kStride) check.add(x);
+    EXPECT_EQ(check.verdict(), "");
+  }
+}
+
+TEST(QuantizeOracle, InactiveLanesKeepTheirBits) {
+  gpurf::Pcg32 rng(2024);
+  for (const auto& f : narrow_formats()) {
+    for (int trial = 0; trial < 200; ++trial) {
+      uint32_t in[32], out[32];
+      for (auto& x : in) x = rng.next_u32();
+      std::copy(in, in + 32, out);
+      const uint32_t mask = rng.next_u32();
+      quantize_warp(out, mask, f);
+      for (int l = 0; l < 32; ++l) {
+        const uint32_t want = (mask >> l) & 1u ? oracle(in[l], f) : in[l];
+        ASSERT_EQ(out[l], want) << f.total_bits << "-bit lane " << l
+                                << " mask 0x" << std::hex << mask;
+      }
+    }
+  }
+}
+
+// Every binary32 pattern, per narrow format, on 4 threads.  It takes
+// minutes, so tier-1 does not run it (it is disabled); CI runs it as its
+// own step with --gtest_also_run_disabled_tests.
+TEST(QuantizeOracle, DISABLED_AllBinary32Patterns) {
+  constexpr uint32_t kThreads = 4;
+  for (const auto& f : narrow_formats()) {
+    std::vector<OracleCheck> checks(kThreads, OracleCheck(f));
+    std::vector<std::thread> threads;
+    for (uint32_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&checks, t] {
+        const uint64_t begin = (uint64_t{1} << 32) / kThreads * t;
+        const uint64_t end = begin + (uint64_t{1} << 32) / kThreads;
+        for (uint64_t x = begin; x < end; ++x)
+          checks[t].add(static_cast<uint32_t>(x));
+        checks[t].flush();
+      });
+    for (auto& th : threads) th.join();
+    uint64_t checked = 0;
+    for (auto& c : checks) {
+      checked += c.checked;
+      EXPECT_EQ(c.verdict(), "");
+    }
+    EXPECT_EQ(checked, uint64_t{1} << 32) << f.total_bits;
+  }
+}
 
 }  // namespace
 }  // namespace gpurf::fp
