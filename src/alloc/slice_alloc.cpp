@@ -196,7 +196,6 @@ AllocationResult allocate_slices(const ir::Kernel& k,
 
   for (const Item& it : items) {
     auto& e = res.table[it.reg];
-    const size_t base = phys.size();
     bool placed = try_place(it, e);
 
     // Pass 3: open new physical registers until the operand fits.  With no
@@ -210,22 +209,10 @@ AllocationResult allocate_slices(const ir::Kernel& k,
       phys.emplace_back();
       placed = try_place(it, e);
     }
-    if (!placed) {
-      // Graceful degradation: the operand cannot be placed in <= 2 pieces
-      // inside the compressed file.  Give it a full-width slot in the
-      // uncompressed spill store instead of aborting, and roll back the
-      // registers speculatively opened above (no occupants yet).
-      phys.resize(base);
-      e.spilled = true;
-      e.split = false;
-      e.slices = gpurf::rf::kSlicesPerReg;
-      e.is_signed = false;
-      e.float_bits = 32;
-      e.r0 = SliceLoc{res.spill_regs++, 0xff};
-      e.r1 = SliceLoc{};
-      ++res.registers_spilled;
-      continue;
-    }
+    GPURF_CHECK(placed, (faults ? "fault map leaves no room" : "no room")
+                            << " for register %" << k.regs[it.reg].name
+                            << " in " << gpurf::rf::kPhysRegs
+                            << " physical registers");
 
     res.total_slices += static_cast<uint32_t>(it.slices);
     if (faults) {
@@ -240,8 +227,6 @@ AllocationResult allocate_slices(const ir::Kernel& k,
   }
 
   res.num_physical_regs = static_cast<uint32_t>(phys.size());
-  GPURF_CHECK(res.num_physical_regs <= gpurf::rf::kPhysRegs,
-              "allocation exceeds the 256-entry indirection table");
   if (faults)
     for (uint32_t p = 0; p < res.num_physical_regs; ++p)
       res.faulty_slices_avoided +=

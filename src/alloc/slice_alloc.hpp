@@ -23,12 +23,10 @@
 // Fault-directed redirection (PR 6, RRCD-style): an optional
 // rf::FaultMap marks permanently broken 4-bit slices; the allocator
 // simply never hands those slice-columns out, so operands are redirected
-// into the space static compression freed.  When an operand cannot be
-// placed in <= 2 pieces inside the 256-register compressed file (extreme
-// fault densities), it degrades gracefully to the *uncompressed spill
-// store* — a separate full-width register space outside the fault map —
-// instead of aborting.  With an empty fault map the placement is
-// bit-identical to the fault-free allocator.
+// into the space static compression freed.  An operand that the usable
+// slices of the 256-register file cannot hold in <= 2 pieces fails the
+// allocation with gpurf::Error naming the register.  With an empty fault
+// map the placement is bit-identical to the fault-free allocator.
 
 #include <cstdint>
 #include <optional>
@@ -67,11 +65,6 @@ struct IndirectionEntry {
   /// operand was steered around the fault (RRCD redirection) and its
   /// accesses pay CompressionConfig::fault_redirection_cycles.
   bool redirected = false;
-  /// Operand could not be placed in the compressed file; r0.phys_reg is a
-  /// slot in the uncompressed spill store (full width, mask 0xff, no
-  /// conversion).  Spilled registers skip precision quantization: the
-  /// spill store holds full 32-bit words.
-  bool spilled = false;
 
   bool operator==(const IndirectionEntry&) const = default;
 };
@@ -92,8 +85,6 @@ struct AllocationResult {
 
   // Fault-tolerance outcome (all zero with a null/empty fault map).
   uint32_t registers_redirected = 0;  ///< placed despite sharing a faulty reg
-  uint32_t registers_spilled = 0;     ///< fell back to the spill store
-  uint32_t spill_regs = 0;            ///< 32-bit spill-store slots used
   uint32_t faulty_slices_avoided = 0; ///< faulty slices inside the footprint
 
   /// Fraction of allocated physical slices actually holding data.
@@ -103,20 +94,6 @@ struct AllocationResult {
                : double(total_slices) / (8.0 * num_physical_regs);
   }
 
-  /// Register pressure including the spill store (occupancy input).
-  uint32_t total_phys_regs() const { return num_physical_regs + spill_regs; }
-
-  /// Coverage (%) of fault-affected registers tolerated in place: 100 x
-  /// redirected / (redirected + spilled); 100 when no register was
-  /// affected (every fault either sits outside the footprint or under a
-  /// redirected operand).
-  double fault_coverage_pct() const {
-    const uint32_t affected = registers_redirected + registers_spilled;
-    return affected == 0
-               ? 100.0
-               : 100.0 * double(registers_redirected) / double(affected);
-  }
-
   bool operator==(const AllocationResult&) const = default;
 };
 
@@ -124,7 +101,8 @@ struct AllocationResult {
 uint32_t baseline_pressure(const gpurf::ir::Kernel& k);
 
 /// Slice-packing allocation.  `ranges` may be null when !opt.pack_ints;
-/// `pmap` may be null when !opt.pack_floats.
+/// `pmap` may be null when !opt.pack_floats.  Throws gpurf::Error when an
+/// operand fits nowhere in the 256-register file.
 AllocationResult allocate_slices(const gpurf::ir::Kernel& k,
                                  const analysis::RangeAnalysisResult* ranges,
                                  const exec::PrecisionMap* pmap,

@@ -10,7 +10,6 @@
 #include "analysis/memory_access.hpp"
 #include "api/json.hpp"
 #include "common/rng.hpp"
-#include "fp/format.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 #include "rf/fault_map.hpp"
@@ -162,19 +161,14 @@ uint64_t wall_us_since(detail::JobImpl::Clock::time_point start) {
 }
 
 /// Write point i's outcome into a campaign result, growing the point
-/// list to hold it (points not finished yet read kQueued).
+/// list to hold it.
 template <class Result>
 auto& record_point(std::optional<Result>& res, const JobRequest& r,
                    uint64_t i, const StatusOr<sim::SimResult>& sr) {
   if (!res) res.emplace().workload = r.workload;
-  if (res->points.size() <= i) {
-    typename decltype(res->points)::value_type pending;
-    pending.state = JobState::kQueued;
-    res->points.resize(i + 1, pending);
-  }
+  if (res->points.size() <= i) res->points.resize(i + 1);
   auto& pt = res->points[i];
   pt.seed = Sweep(r).seed(i);
-  pt.state = terminal_state_for(sr.status());
   if (sr.ok()) {
     pt.cycles = sr->stats.cycles;
     pt.ipc = sr->stats.ipc();
@@ -323,7 +317,7 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
         req.compression ? *req.compression
                         : workloads::make_compression_config(req.mode);
     sim::SimOptions so;
-    so.shards = req.sim_shards > 0 ? req.sim_shards : opts_.sim_shards;
+    so.shards = opts_.sim_shards;
     // Static disjointness gate (ISSUE 10): multi-SM sharding executes all
     // blocks against one shared GlobalMemory, so it requires the sharded
     // memory contract (no cross-block reads, no overlapping stores).  The
@@ -342,10 +336,10 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     }
 
     // Fault injection (PR 6): generate the deterministic map, re-run the
-    // slice allocator fault-aware (redirection + graceful spill) and
-    // swap the launch's allocation for the redirected one.  The memoized
-    // pipeline stays untouched — fault-free requests keep serving its
-    // bit-identical allocation.
+    // slice allocator fault-aware (redirection; it throws when an operand
+    // fits nowhere) and swap the launch's allocation for the redirected
+    // one.  The memoized pipeline stays untouched — fault-free requests
+    // keep serving its bit-identical allocation.
     const rf::FaultMap fm =
         rf::FaultMap::generate(req.fault.seed, req.fault.density);
     const auto& tune = req.mode == workloads::SimMode::kCompressedPerfect
@@ -355,18 +349,8 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     aopt.faults = &fm;
     const alloc::AllocationResult fa = alloc::allocate_slices(
         w.kernel(), &(*pr)->ranges, &tune.pmap, aopt);
-
-    // Spilled f32 registers live full-width in the spill store, so the
-    // interpreter must not quantize them.
-    exec::PrecisionMap adj = tune.pmap;
-    if (adj.active())
-      for (uint32_t r = 0;
-           r < fa.table.size() && r < adj.per_reg.size(); ++r)
-        if (fa.table[r].valid && fa.table[r].spilled)
-          adj.per_reg[r] = fp::format_for_bits(32);
     spec.allocation = &fa;
-    spec.regs_per_thread = fa.total_phys_regs();
-    spec.precision = &adj;
+    spec.regs_per_thread = fa.num_physical_regs;
 
     const auto sim_t0 = detail::JobImpl::Clock::now();
     sim::SimResult result = sim::simulate(opts_.gpu, comp, spec, cancel, so);
@@ -378,9 +362,6 @@ StatusOr<sim::SimResult> Engine::simulate_impl(const workloads::Workload& w,
     rep.faults_total = static_cast<uint32_t>(fm.num_faults());
     rep.faults_in_footprint = fa.faulty_slices_avoided;
     rep.registers_redirected = fa.registers_redirected;
-    rep.registers_spilled = fa.registers_spilled;
-    rep.spill_regs = fa.spill_regs;
-    rep.coverage_pct = fa.fault_coverage_pct();
     return result;
   } catch (...) {
     return exception_status("simulate", w.spec().name);

@@ -89,7 +89,6 @@ struct EngineOptions {
   /// (ISSUE 5): SMs tick in parallel on the Engine's pool with a
   /// deterministic per-cycle barrier; SimStats are bit-identical at every
   /// value.  <= 0 resolves to `threads`; 1 forces the serial schedule.
-  /// Overridable per request via SimRequest::sim_shards.
   int sim_shards = 0;
   /// Async executor width; <= 0 resolves to `threads`.  Executor threads
   /// run submitted jobs (and campaign points) concurrently; each fans its

@@ -42,9 +42,11 @@ namespace gpurf {
 
 /// Permanent-fault injection for one simulation (PR 6).  The Engine
 /// generates rf::FaultMap::generate(seed, density), runs the slice
-/// allocator fault-aware (redirection + graceful spill) and reports
-/// coverage in SimResult::fault.  density <= 0 disables injection
-/// entirely (bit-identical to a fault-free run).
+/// allocator fault-aware (redirection) and reports the faults and the
+/// redirected registers in SimResult::fault; a map that leaves some
+/// operand no room fails the simulation with FAILED_PRECONDITION.
+/// density <= 0 disables injection entirely (bit-identical to a
+/// fault-free run).
 struct FaultSpec {
   uint64_t seed = 0;
   double density = 0.0;  ///< fraction of slice sites faulty, clamped [0,1]
@@ -59,10 +61,6 @@ struct SimRequest {
   /// writeback-delay sweep); unset derives the config from `mode`.  The
   /// Engine rejects a writeback delay above 64 cycles.
   std::optional<sim::CompressionConfig> compression;
-  /// Multi-SM shard count for this simulation only: > 0 overrides the
-  /// Engine's resolved EngineOptions::sim_shards (1 = serial reference
-  /// schedule).  Timing results are bit-identical at every value.
-  int sim_shards = 0;
   /// Permanent-fault injection; density <= 0 (default) = fault-free.
   /// Requires a compressed mode — faults live in the compressed file.
   FaultSpec fault;
@@ -115,7 +113,6 @@ inline bool job_state_terminal(JobState s) {
 struct FaultCampaignPoint {
   double density = 0.0;   ///< requested density of this point
   uint64_t seed = 0;      ///< derived per-map seed
-  JobState state = JobState::kDone;
   std::string error;      ///< non-empty when the map failed
   sim::FaultInjectionReport fault;   ///< empty when the map failed
   uint64_t cycles = 0;
@@ -148,7 +145,6 @@ struct TransientCampaignRequest {
 struct TransientCampaignPoint {
   double flips_per_mcycle = 0.0;
   uint64_t seed = 0;
-  JobState state = JobState::kDone;
   std::string error;       ///< non-empty when the point failed (a corrupted
                            ///< address aborting the run is a DUE, reported
                            ///< here as the point's FailedPrecondition)

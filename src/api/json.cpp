@@ -175,9 +175,6 @@ void write_alloc(JsonWriter& w, const std::string& k,
   w.field("split_operands", a.split_operands);
   w.field("packing_density", a.packing_density());
   w.field("registers_redirected", a.registers_redirected);
-  w.field("registers_spilled", a.registers_spilled);
-  w.field("spill_regs", a.spill_regs);
-  w.field("fault_coverage_pct", a.fault_coverage_pct());
   w.end_object();
 }
 
@@ -219,8 +216,6 @@ void write_stats_fields(JsonWriter& w, const sim::SimStats& s) {
   w.field("double_fetches", s.double_fetches);
   w.field("conversions", s.conversions);
   w.field("fault_redirected_fetches", s.fault_redirected_fetches);
-  w.field("fault_spill_fetches", s.fault_spill_fetches);
-  w.field("spill_port_conflicts", s.spill_port_conflicts);
   w.field("soft_flips_injected", s.soft_flips_injected);
   w.field("soft_flips_on_live", s.soft_flips_on_live);
   w.field("soft_flips_masked_dead", s.soft_flips_masked_dead);
@@ -237,9 +232,6 @@ void write_fault_report(JsonWriter& w, const std::string& k,
   w.field("faults_total", f.faults_total);
   w.field("faults_in_footprint", f.faults_in_footprint);
   w.field("registers_redirected", f.registers_redirected);
-  w.field("registers_spilled", f.registers_spilled);
-  w.field("spill_regs", f.spill_regs);
-  w.field("coverage_pct", f.coverage_pct);
   w.end_object();
 }
 
@@ -314,7 +306,6 @@ std::string to_json(const FaultCampaignResult& r) {
     w.begin_object();
     w.field("density", pt.density);
     w.field("seed", pt.seed);
-    w.field("state", job_state_name(pt.state));
     if (!pt.error.empty()) w.field("error", pt.error);
     w.field("cycles", pt.cycles);
     w.field("ipc", pt.ipc);
@@ -336,7 +327,6 @@ std::string to_json(const TransientCampaignResult& r) {
     w.begin_object();
     w.field("flips_per_mcycle", pt.flips_per_mcycle);
     w.field("seed", pt.seed);
-    w.field("state", job_state_name(pt.state));
     if (!pt.error.empty()) w.field("error", pt.error);
     w.field("cycles", pt.cycles);
     w.field("ipc", pt.ipc);

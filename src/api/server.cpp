@@ -82,7 +82,6 @@ Status parse_sim_request(const JsonValue& req, SimRequest& out) {
     st = read_int(req, "writeback_delay", wb);
     out.compression = sim::CompressionConfig::with_writeback_delay(wb);
   }
-  if (st.ok()) st = read_int(req, "sim_shards", out.sim_shards);
   if (st.ok()) st = read_int(req, "fault_seed", out.fault.seed);
   if (st.ok()) st = read_int(req, "soft_seed", out.soft.seed);
   if (!st.ok()) return st;

@@ -17,8 +17,7 @@
 //   {"op":"submit","kind":"pipeline"|"simulate"|"fault_campaign"|
 //    "transient_campaign","workload":NAME,
 //    "mode":"original"|"perfect"|"high","scale":"sample"|"full",
-//    "variant":N,"writeback_delay":N,"sim_shards":N,"priority":N,
-//    "deadline_ms":N,
+//    "variant":N,"writeback_delay":N,"priority":N,"deadline_ms":N,
 //    // simulate only (PR 6 fault injection; needs a compressed mode):
 //    "fault_seed":N,"fault_density":F,
 //    // simulate (transient soft errors, any mode; a transient_campaign sets
@@ -46,8 +45,7 @@
 // INVALID_ARGUMENT naming the field, and no job is queued:
 //
 //   variant, writeback_delay                 [0, 2^32-1]
-//   sim_shards, maps_per_density,
-//   seeds_per_rate                           [0, 2^31-1]
+//   maps_per_density, seeds_per_rate         [0, 2^31-1]
 //   priority                                 [-2^31, 2^31-1]
 //   deadline_ms                              [0, 2^31-1] (~24.8 days)
 //   fault_seed, soft_seed, base_seed, job    [0, 2^64)
@@ -58,7 +56,10 @@
 // 2^31-1, also with INVALID_ARGUMENT.  A campaign is one job: it takes
 // one in-flight slot, and the Engine's executor workers run its points.
 // A fault campaign in "original" mode or one with no densities / flip
-// rates comes back already done with INVALID_ARGUMENT.  A job id in
+// rates comes back already done with INVALID_ARGUMENT.  A fault map
+// that leaves some operand no room in the 256-register file fails its
+// simulate job with FAILED_PRECONDITION naming the register; inside a
+// campaign, that point carries the message as its "error".  A job id in
 // range that names no job is NOT_FOUND.  timeout_ms and progress_ms are
 // clamped rather than rejected (negative timeouts act as 0).  Unknown
 // fields are ignored.

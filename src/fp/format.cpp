@@ -162,6 +162,9 @@ bool exactly_representable(float v, const FloatFormat& fmt) {
   return float_bits(q) == float_bits(v);
 }
 
+// Starts on a 64-byte line, like the interpreter's warp-wide hot path
+// that calls it (exec/interp.cpp says why).
+[[gnu::aligned(64)]]
 void quantize_warp(uint32_t* bits, uint32_t mask, const FloatFormat& fmt) {
   if (fmt.is_fp32()) return;
   const Rounding r = rounding_of(fmt);

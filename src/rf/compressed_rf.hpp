@@ -22,7 +22,6 @@ struct ReadStats {
   uint64_t fetches = 0;        ///< physical register fetches
   uint64_t double_fetches = 0; ///< reads needing two fetches (split operand)
   uint64_t conversions = 0;    ///< Value Converter activations
-  uint64_t spill_accesses = 0; ///< full-width spill-store reads/writes
 };
 
 class CompressedRegisterFile {
@@ -51,16 +50,10 @@ class CompressedRegisterFile {
   uint32_t phys_index(uint32_t warp, uint32_t phys_reg) const {
     return warp * num_phys_ + phys_reg;
   }
-  size_t spill_index(uint32_t warp, uint32_t slot) const;
 
   std::vector<gpurf::alloc::IndirectionEntry> table_;
   uint32_t num_phys_;
   BankedRegisterFile storage_;
-  // Uncompressed spill store for entries the allocator could not place in
-  // the compressed file (extreme fault densities): full 32-bit words,
-  // bypassing the operand codec.
-  uint32_t num_spill_ = 0;
-  std::vector<WarpRegister> spill_;
   ReadStats stats_;
 };
 

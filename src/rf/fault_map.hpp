@@ -17,8 +17,8 @@
 // disables slice `slice` of compressed physical register
 // `row * banks + bank` in every warp's copy (conservative: the per-warp
 // copies of a row share column drivers, so a defect takes out the column
-// for all of them).  The uncompressed spill store the allocator degrades
-// into is a separate structure and deliberately outside this map.
+// for all of them).  An operand the usable slices cannot hold fails its
+// allocation (alloc::allocate_slices).
 //
 // Determinism: generate(seed, density) draws a fixed count of distinct
 // sites with a partial Fisher-Yates shuffle over a Pcg32 stream — the same
@@ -86,7 +86,7 @@ class FaultMap {
   /// Faulty-slice mask of one compressed physical register (bank =
   /// phys_reg % banks, row = phys_reg / banks).  Registers beyond the
   /// geometry are reported fault-free (they cannot exist in hardware the
-  /// map describes, and the spill store is outside the map by design).
+  /// map describes).
   uint8_t faulty_mask(uint32_t phys_reg) const {
     return phys_reg < masks_.size() ? masks_[phys_reg] : 0;
   }

@@ -12,7 +12,6 @@
 // This is the only code that turns an indirection entry into TVT/TVE
 // control.  rf::CompressedRegisterFile runs a warp's 32 lanes through it,
 // and sim::SoftErrorModel strikes a stored bit between encode and decode.
-// Spilled entries bypass it: the spill store holds full 32-bit words.
 
 #include <cstdint>
 

@@ -81,10 +81,9 @@ struct CompressionConfig {
   uint32_t writeback_delay = 3;
 
   /// Extra collector-unit latency when an instruction touches a register
-  /// that was steered around permanent faults (RRCD-style redirection) or
-  /// lives in the uncompressed spill store.  Charged once per instruction
-  /// with at least one such source operand; zero-fault allocations never
-  /// pay it.
+  /// that was steered around permanent faults (RRCD-style redirection).
+  /// Charged once per instruction with at least one such source operand;
+  /// zero-fault allocations never pay it.
   uint32_t fault_redirection_cycles = 1;
 
   static CompressionConfig baseline() { return CompressionConfig{}; }

@@ -574,8 +574,7 @@ class SmCore {
     // Distinct register source operands -> bank fetch requests.
     uint32_t seen[3];
     int nseen = 0;
-    bool fault_penalty = false;  // >= 1 redirected/spilled source operand
-    uint32_t nspill = 0;         // spill-store fetches of this instruction
+    bool fault_penalty = false;  // >= 1 redirected source operand
     for (int i = 0; i < in.num_srcs; ++i) {
       if (!in.srcs[i].is_reg()) continue;
       const uint32_t r = in.srcs[i].index;
@@ -594,13 +593,8 @@ class SmCore {
           fetch(e.r1.phys_reg);
           ++stats_.double_fetches;
         }
-        if (e.is_float && e.float_bits != 32 && !e.spilled)
-          ++cu.conversions_left;
-        if (e.spilled) {
-          ++stats_.fault_spill_fetches;
-          fault_penalty = true;
-          ++nspill;
-        } else if (e.redirected) {
+        if (e.is_float && e.float_bits != 32) ++cu.conversions_left;
+        if (e.redirected) {
           ++stats_.fault_redirected_fetches;
           fault_penalty = true;
         }
@@ -612,13 +606,6 @@ class SmCore {
     // Fault redirection penalty (§RRCD): the extra remap stage delays the
     // collector unit's first fetch, once per affected instruction.
     if (fault_penalty) cu.active_from += cc_.fault_redirection_cycles;
-
-    // Spill-store port contention: the uncompressed store has one
-    // read port, so each spilled source after the first waits a cycle.
-    if (nspill > 1) {
-      cu.active_from += nspill - 1;
-      stats_.spill_port_conflicts += nspill - 1;
-    }
 
     // Scoreboard: destination pends until writeback.
     if (in.info().has_dst) wc.pending[in.dst] = 1;

@@ -129,9 +129,6 @@ struct FaultInjectionReport {
   uint32_t faults_total = 0;        ///< faulty slice sites in the map
   uint32_t faults_in_footprint = 0; ///< inside the allocated registers
   uint32_t registers_redirected = 0;
-  uint32_t registers_spilled = 0;
-  uint32_t spill_regs = 0;          ///< spill-store slots consumed
-  double coverage_pct = 100.0;      ///< AllocationResult::fault_coverage_pct
 
   bool operator==(const FaultInjectionReport&) const = default;
 };

@@ -50,10 +50,7 @@ SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
   const uint32_t nregs = k.num_regs();
 
   // Stored payload width per architectural register.  Predicates live in a
-  // separate predicate file and spilled registers in the uncompressed
-  // spill store — neither occupies the sampled slice geometry, but spilled
-  // values still count their full 32 bits toward the exposure integral
-  // (they are stored *somewhere*, uncompressed).
+  // separate predicate file, outside the sampled slice geometry.
   reg_bits_.assign(nregs, 0);
   for (uint32_t r = 0; r < nregs; ++r) {
     if (k.regs[r].type == gpurf::ir::Type::PRED) continue;
@@ -63,7 +60,7 @@ SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
     }
     const auto& e = alloc_->table[r];
     if (!e.valid) continue;
-    reg_bits_[r] = e.spilled ? 32 : 4u * e.slices;
+    reg_bits_[r] = 4u * e.slices;
   }
 
   // Reverse map (physical register, slice) -> owning registers.  Aliasing
@@ -73,7 +70,7 @@ SoftErrorModel::SoftErrorModel(const gpurf::ir::Kernel& k,
     owners_.resize(size_t(gpurf::rf::kPhysRegs) * gpurf::rf::kSlicesPerReg);
     for (uint32_t r = 0; r < nregs; ++r) {
       const auto& e = alloc_->table[r];
-      if (!e.valid || e.spilled) continue;
+      if (!e.valid) continue;
       const auto add_piece = [&](const gpurf::alloc::SliceLoc& loc,
                                  bool second) {
         if (loc.phys_reg >= gpurf::rf::kPhysRegs) return;

@@ -44,15 +44,9 @@ struct SimStats {
   uint64_t conversions = 0;
 
   // Fault tolerance (PR 6): source-operand fetches from registers that
-  // were redirected around faulty slices / spilled to the uncompressed
-  // store.  Both stay zero for fault-free allocations.
+  // were redirected around faulty slices.  Zero for fault-free
+  // allocations.
   uint64_t fault_redirected_fetches = 0;
-  uint64_t fault_spill_fetches = 0;
-
-  /// Spill-store port contention: the uncompressed store has one
-  /// read port, so an instruction with n spilled sources waits n - 1
-  /// extra cycles, counted here.
-  uint64_t spill_port_conflicts = 0;
 
   // Transient soft errors (PR 7).  The sampled taxonomy:
   //   injected = on_live + masked_dead
@@ -97,8 +91,6 @@ struct SimStats {
     double_fetches += sm.double_fetches;
     conversions += sm.conversions;
     fault_redirected_fetches += sm.fault_redirected_fetches;
-    fault_spill_fetches += sm.fault_spill_fetches;
-    spill_port_conflicts += sm.spill_port_conflicts;
     soft_flips_injected += sm.soft_flips_injected;
     soft_flips_on_live += sm.soft_flips_on_live;
     soft_flips_masked_dead += sm.soft_flips_masked_dead;

@@ -275,8 +275,9 @@ TEST(Daemon, ModeDefaultsPerKindAndCampaignWaitAttachesResult) {
 
 // Wire requests may still carry the fault- and soft-error options that
 // were removed (output quality scoring, its campaign floor, fault-aware
-// re-tuning).  Unknown fields are ignored, so such a submit is accepted
-// and its result is exactly that of the same submit without them.
+// re-tuning) and the per-request shard count.  Unknown fields are
+// ignored, so such a submit is accepted and its result is exactly that
+// of the same submit without them.
 TEST(Daemon, RemovedRequestFieldsAreIgnored) {
   TempDir dir("gpurf_daemon_removed_fields_cache");
   Engine engine(EngineOptions().with_threads(2).with_cache_dir(dir.path));
@@ -304,7 +305,7 @@ TEST(Daemon, RemovedRequestFieldsAreIgnored) {
   ASSERT_TRUE(plain_sim.is_object());
   EXPECT_TRUE(api::deep_equal(
       result_of(sim + R"(,"fault_quality":true,"soft_quality":true,)"
-                      R"("retune_on_faults":true)"),
+                      R"("retune_on_faults":true,"sim_shards":4)"),
       plain_sim));
 
   const std::string campaign =

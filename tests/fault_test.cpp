@@ -1,6 +1,7 @@
 // Permanent-fault injection (PR 6): the FaultMap model, the allocator's
-// compression-directed redirection + graceful spill, the simulator's
-// degradation accounting, and the Engine's fault-campaign orchestration.
+// compression-directed redirection (and its failure when a map leaves an
+// operand no room), the simulator's degradation accounting, and the
+// Engine's fault-campaign orchestration.
 //
 // The two contracts that matter most:
 //   * an all-zero fault map is *inert* — allocation and SimStats are
@@ -22,7 +23,6 @@
 #include "alloc/slice_alloc.hpp"
 #include "api/engine.hpp"
 #include "api/json.hpp"
-#include "rf/compressed_rf.hpp"
 #include "rf/fault_map.hpp"
 #include "sim/gpu.hpp"
 #include "testing_util.hpp"
@@ -95,7 +95,6 @@ TEST(FaultAlloc, EmptyMapBitIdenticalForAllWorkloads) {
     EXPECT_TRUE(plain == with_empty) << w->spec().name;
     EXPECT_TRUE(plain == with_zero) << w->spec().name;
     EXPECT_EQ(with_empty.registers_redirected, 0u) << w->spec().name;
-    EXPECT_EQ(with_empty.registers_spilled, 0u) << w->spec().name;
   }
 }
 
@@ -108,7 +107,7 @@ sim::SimStats sim_with_alloc(const wl::Workload& w,
   auto inst = w.make_instance(wl::Scale::kSample, 0);
   wl::PipelineResult pr;
   auto spec = wl::make_launch_spec(w, inst, pr, wl::SimMode::kOriginal);
-  spec.regs_per_thread = a.total_phys_regs();
+  spec.regs_per_thread = a.num_physical_regs;
   spec.allocation = &a;
   sim::SimOptions so;
   so.shards = shards;
@@ -123,7 +122,7 @@ sim::SimStats sim_with_alloc(const wl::Workload& w,
 }
 
 /// The same run with an (optionally fault-aware) untuned slice allocation
-/// — the cheap way to drive the redirection/spill timing machinery for
+/// — the cheap way to drive the redirection timing machinery for
 /// every workload without the precision tuner.
 sim::SimStats fault_sim_stats(const wl::Workload& w, const rf::FaultMap* fm,
                               int shards) {
@@ -139,7 +138,6 @@ TEST(FaultSim, ZeroFaultBitIdenticalForAllWorkloadsAndShardCounts) {
   for (const auto& w : wl::make_all_workloads()) {
     const auto ref = fault_sim_stats(*w, nullptr, 1);
     EXPECT_EQ(ref.fault_redirected_fetches, 0u) << w->spec().name;
-    EXPECT_EQ(ref.fault_spill_fetches, 0u) << w->spec().name;
     for (int shards : {1, 4})
       expect_same_sim_stats(
           ref, fault_sim_stats(*w, &empty_map, shards),
@@ -200,7 +198,6 @@ TEST(FaultSim, RedirectionChargesCyclesNeverCorrupts) {
     EXPECT_EQ(p4.l1.accesses, p0.l1.accesses) << name;
     EXPECT_EQ(p4.fault_redirected_fetches, p0.fault_redirected_fetches)
         << name;
-    EXPECT_EQ(p4.fault_spill_fetches, p0.fault_spill_fetches) << name;
     ASSERT_FALSE(out_plain.empty()) << name;
     EXPECT_EQ(out0, out_plain) << name << ": redirection changed the output";
     EXPECT_EQ(out4, out_plain) << name << ": redirection changed the output";
@@ -209,33 +206,28 @@ TEST(FaultSim, RedirectionChargesCyclesNeverCorrupts) {
 
 // --------------------------------------------- allocator fault handling
 
-TEST(FaultAlloc, SaturatedMapSpillsEverythingGracefully) {
-  // Density 1.0: every compressed slice is broken — nothing can be
-  // placed, everything must degrade to the spill store, nothing aborts.
+TEST(FaultAlloc, SaturatedMapFailsNamingTheRegister) {
+  // Density 1.0: every compressed slice is broken, so the first operand
+  // fits nowhere and the allocation fails with that register's name.
   auto w = wl::make_dwt2d();
   const auto fm = rf::FaultMap::generate(1, 1.0);
-  const auto a = alloc::allocate_slices(w->kernel(), nullptr, nullptr,
-                                        {false, false, &fm});
-  EXPECT_EQ(a.registers_redirected, 0u);
-  EXPECT_GT(a.registers_spilled, 0u);
-  EXPECT_EQ(a.spill_regs, a.registers_spilled);
-  EXPECT_EQ(a.fault_coverage_pct(), 0.0);
-  for (const auto& e : a.table)
-    if (e.valid) {
-      EXPECT_TRUE(e.spilled);
-      EXPECT_EQ(e.r0.mask, 0xffu);
-      EXPECT_EQ(e.float_bits, 32u);
-    }
-  // The fully-spilled launch still simulates (degraded, not dead), and
-  // instructions with several spilled sources wait on the spill store's
-  // one read port.
-  const auto st = fault_sim_stats(*w, &fm, 1);
-  EXPECT_GT(st.fault_spill_fetches, 0u);
-  EXPECT_GT(st.spill_port_conflicts, 0u);
-  EXPECT_GT(st.cycles, 0u);
+  try {
+    alloc::allocate_slices(w->kernel(), nullptr, nullptr,
+                           {false, false, &fm});
+    FAIL() << "a saturated fault map allocated";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    const std::string head = "fault map leaves no room for register %";
+    ASSERT_EQ(msg.rfind(head, 0), 0u) << msg;
+    const std::string reg =
+        msg.substr(head.size(), msg.find(' ', head.size()) - head.size());
+    EXPECT_NE(w->kernel().find_reg(reg), ir::kNoReg) << msg;
+    EXPECT_NE(msg.find("in 256 physical registers"), std::string::npos)
+        << msg;
+  }
 }
 
-TEST(FaultAlloc, ModerateMapPrefersRedirectionOverSpill) {
+TEST(FaultAlloc, ModerateMapRedirectsAroundFaultySlices) {
   auto w = wl::make_dwt2d();
   const auto fm = rf::FaultMap::generate(3, 0.05);
   const auto plain = alloc::allocate_slices(w->kernel(), nullptr, nullptr,
@@ -244,46 +236,15 @@ TEST(FaultAlloc, ModerateMapPrefersRedirectionOverSpill) {
                                         {false, false, &fm});
   // At 5% faulty slices the freed space absorbs the faults in place.
   EXPECT_GT(a.registers_redirected, 0u);
-  EXPECT_GE(a.fault_coverage_pct(), 50.0);
   EXPECT_GE(a.num_physical_regs, plain.num_physical_regs);
   // No operand may sit on a faulty slice.
   for (const auto& e : a.table) {
-    if (!e.valid || e.spilled) continue;
+    if (!e.valid) continue;
     EXPECT_EQ(e.r0.mask & fm.faulty_mask(e.r0.phys_reg), 0u);
     if (e.split) {
       EXPECT_EQ(e.r1.mask & fm.faulty_mask(e.r1.phys_reg), 0u);
     }
   }
-}
-
-// --------------------------------------------------- spill-store RF path
-
-TEST(CompressedRfSpill, SpilledOperandRoundTripsFullWidth) {
-  std::vector<alloc::IndirectionEntry> table(2);
-  // Entry 0: a normal full-width resident of physical register 0.
-  table[0] = {true, {0, 0xff}, {}, false, 8, false, false, 32};
-  // Entry 1: spilled to slot 0 of the uncompressed store.
-  table[1] = {true, {0, 0xff}, {}, false, 8, false, false, 32,
-              /*redirected=*/false, /*spilled=*/true};
-  rf::CompressedRegisterFile crf(table, 1, 2);
-
-  rf::WarpRegister a{}, b{};
-  for (int l = 0; l < 32; ++l) {
-    a[l] = 0xAAAA0000u + uint32_t(l);
-    b[l] = 0xDEAD0000u + uint32_t(l);  // full 32-bit payload, no narrowing
-  }
-  crf.write_operand(0, 0, a);
-  crf.write_operand(0, 1, b);
-  crf.write_operand(1, 1, a);  // per-warp spill copies are independent
-  const auto ra = crf.read_operand(0, 0);
-  const auto rb = crf.read_operand(0, 1);
-  const auto rc = crf.read_operand(1, 1);
-  for (int l = 0; l < 32; ++l) {
-    EXPECT_EQ(ra[l], a[l]) << "resident lane " << l;
-    EXPECT_EQ(rb[l], b[l]) << "spilled lane " << l;
-    EXPECT_EQ(rc[l], a[l]) << "warp-1 spilled lane " << l;
-  }
-  EXPECT_EQ(crf.stats().spill_accesses, 4u);  // 2 writes + 2 reads
 }
 
 // -------------------------------------------------- Engine fault path
@@ -324,12 +285,12 @@ TEST(EngineFault, InjectionReportsDegradationDeterministically) {
   EXPECT_TRUE(a->fault.active);
   EXPECT_EQ(a->fault.seed, 13u);
   EXPECT_GT(a->fault.faults_total, 0u);
-  EXPECT_GE(a->fault.coverage_pct, 0.0);
-  EXPECT_LE(a->fault.coverage_pct, 100.0);
+  EXPECT_GT(a->fault.registers_redirected, 0u);
 
   // Same seed, different shard count: identical map, identical stats.
-  req.sim_shards = 4;
-  auto b = engine.simulate("DWT2D", req);
+  Engine sharded(EngineOptions().with_threads(2).with_sim_shards(4)
+                     .with_cache_dir(dir.path));
+  auto b = sharded.simulate("DWT2D", req);
   ASSERT_TRUE(b.ok());
   expect_same_sim_stats(a->stats, b->stats, "faulty T=4");
   EXPECT_TRUE(a->fault == b->fault);
@@ -337,8 +298,23 @@ TEST(EngineFault, InjectionReportsDegradationDeterministically) {
   // The JSON snapshot carries the report and stays well-formed.
   const std::string js = api::to_json(*a);
   EXPECT_NE(js.find("\"fault\""), std::string::npos);
-  EXPECT_NE(js.find("\"coverage_pct\""), std::string::npos);
+  EXPECT_NE(js.find("\"registers_redirected\""), std::string::npos);
   EXPECT_TRUE(api::parse_json(js).ok());
+}
+
+TEST(EngineFault, MapWithNoRoomFailsTheSimulation) {
+  TempDir dir("gpurf_test_cache_fault_full");
+  Engine engine(EngineOptions().with_threads(2).with_cache_dir(dir.path));
+  SimRequest req;
+  req.mode = wl::SimMode::kCompressedPerfect;
+  req.scale = wl::Scale::kSample;
+  req.fault = {1, 1.0};
+  auto r = engine.simulate("DWT2D", req);
+  ASSERT_FALSE(r.ok()) << "every slice broken, yet DWT2D ran";
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(r.status().message().find("no room for register %"),
+            std::string::npos)
+      << r.status().to_string();
 }
 
 // ------------------------------------------------------ fault campaigns
@@ -371,7 +347,7 @@ TEST(FaultCampaign, SweepCompletesWithProgressAndMonotoneDensities) {
   uint32_t prev_faults = 0;
   for (size_t i = 0; i < res->points.size(); ++i) {
     const auto& pt = res->points[i];
-    EXPECT_EQ(pt.state, JobState::kDone) << pt.error;
+    EXPECT_TRUE(pt.error.empty()) << pt.error;
     EXPECT_TRUE(pt.fault.active);
     EXPECT_GT(pt.cycles, 0u);
     EXPECT_GT(pt.blocks_per_sm, 0u);
@@ -431,6 +407,40 @@ TEST(FaultCampaign, CancelLeavesNoPartialCacheState) {
         << "unexpected cache residue: " << entry.path();
 }
 
+TEST(FaultCampaign, PointsWhoseMapLeavesNoRoomCarryTheError) {
+  TempDir dir("gpurf_test_cache_camp_full");
+  Engine engine(EngineOptions()
+                    .with_threads(2)
+                    .with_cache_dir(dir.path)
+                    .with_async_workers(2)
+                    .with_max_inflight(2));
+  FaultCampaignRequest creq;
+  creq.sim.mode = wl::SimMode::kCompressedPerfect;
+  creq.sim.scale = wl::Scale::kSample;
+  creq.densities = {0.05, 1.0};
+  creq.maps_per_density = 2;
+  Job job = engine.submit(JobRequest::fault_campaign("DWT2D", creq));
+  job.wait();
+  // A point that fails is recorded, not a campaign failure.
+  ASSERT_TRUE(job.status().ok()) << job.status().to_string();
+  auto res = job.campaign_result();
+  ASSERT_TRUE(res.ok()) << res.status().to_string();
+  ASSERT_EQ(res->points.size(), 4u);
+  for (const auto& pt : res->points) {
+    if (pt.density < 1.0) {
+      EXPECT_TRUE(pt.error.empty()) << pt.error;
+      EXPECT_TRUE(pt.fault.active);
+      EXPECT_GT(pt.cycles, 0u);
+    } else {
+      EXPECT_NE(pt.error.find("FAILED_PRECONDITION"), std::string::npos)
+          << pt.error;
+      EXPECT_NE(pt.error.find("no room for register %"), std::string::npos)
+          << pt.error;
+      EXPECT_FALSE(pt.fault.active);
+    }
+  }
+}
+
 /// Threads of this process, from /proc/self/status.
 int process_threads() {
   std::ifstream status("/proc/self/status");
@@ -479,7 +489,7 @@ TEST(FaultCampaign, CampaignsRunOnTheExecutorsAndTakeOneSlotEach) {
     auto res = jobs[i].campaign_result();
     ASSERT_TRUE(res.ok()) << res.status().to_string();
     ASSERT_EQ(res->points.size(), 1u);
-    EXPECT_EQ(res->points[0].state, JobState::kDone) << res->points[0].error;
+    EXPECT_TRUE(res->points[0].error.empty()) << res->points[0].error;
   }
   EXPECT_LE(process_threads(), before + (kThreads - 1) + kWorkers);
   for (auto& j : jobs) j.cancel();

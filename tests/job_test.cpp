@@ -248,7 +248,6 @@ TEST(Job, CancelMidFlightShardedSimulate) {
                     .with_gpu(slow));
   SimRequest req;
   req.mode = wl::SimMode::kOriginal;
-  req.sim_shards = 2;
   Job job = engine.submit(JobRequest::simulate("DWT2D", req));
 
   // Wait for the first simulated-cycle heartbeat (published every 4096
@@ -270,9 +269,12 @@ TEST(Job, CancelMidFlightShardedSimulate) {
 
   // A re-run on the same Engine is unaffected by the abandoned run and
   // matches a sharded=1 serial reference bit for bit.
-  SimRequest serial_req = req;
-  serial_req.sim_shards = 1;
-  auto serial = engine.simulate("DWT2D", serial_req);
+  Engine serial_engine(EngineOptions()
+                           .with_threads(2)
+                           .with_sim_shards(1)
+                           .with_cache_dir(dir.path)
+                           .with_gpu(slow));
+  auto serial = serial_engine.simulate("DWT2D", req);
   ASSERT_TRUE(serial.ok()) << serial.status().to_string();
   Job rerun = engine.submit(JobRequest::simulate("DWT2D", req));
   rerun.wait();

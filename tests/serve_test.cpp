@@ -404,8 +404,8 @@ TEST(WireIntegers, FractionalOrNonNumericIntegersAreRejected) {
   expect_rejected(submit_line("DWT2D", R"(,"variant":0.5,"deadline_ms":50)"),
                   "variant");
   expect_rejected(
-      submit_line("DWT2D", R"(,"sim_shards":"4","deadline_ms":50)"),
-      "sim_shards");
+      submit_line("DWT2D", R"(,"priority":"4","deadline_ms":50)"),
+      "priority");
 }
 
 TEST(WireIntegers, JobIdOutOfRangeIsRejectedAndUnknownIsNotFound) {

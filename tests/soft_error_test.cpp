@@ -132,7 +132,7 @@ TEST(SoftErrorModel, CompressedOwnersRespectAllocationMasks) {
       for (const auto& o : m.owners(pr, s)) {
         ASSERT_LT(o.reg, alloc.table.size());
         const auto& e = alloc.table[o.reg];
-        ASSERT_TRUE(e.valid && !e.spilled);
+        ASSERT_TRUE(e.valid);
         const auto& loc = o.second_piece ? e.r1 : e.r0;
         EXPECT_EQ(loc.phys_reg, pr);
         EXPECT_NE(loc.mask & (1u << s), 0u);
@@ -144,7 +144,7 @@ TEST(SoftErrorModel, CompressedOwnersRespectAllocationMasks) {
   // the register is stored full-width.
   for (uint32_t r = 0; r < alloc.table.size(); ++r) {
     const auto& e = alloc.table[r];
-    if (!e.valid || e.spilled || e.float_bits != 32 || e.split) continue;
+    if (!e.valid || e.float_bits != 32 || e.split) continue;
     const uint32_t v = 0xc0ffee42u;
     const uint32_t c = m.corrupt(v, r, false, 0, 1);
     EXPECT_NE(c, v);
@@ -168,7 +168,7 @@ TEST(SoftErrorModel, CorruptFlipsTheEncodedOperandOnRealAllocations) {
     sim::SoftErrorModel m(*a.kernel, ka, &a.alloc);
     for (uint32_t r = 0; r < a.alloc.table.size(); ++r) {
       const auto& e = a.alloc.table[r];
-      if (!e.valid || e.spilled) continue;
+      if (!e.valid) continue;
       const bool narrow = e.is_float && e.float_bits != 32;
       const fp::FloatFormat fmt = fp::format_for_bits(e.float_bits);
       const int bits = rf::kSliceBits * e.slices;
@@ -220,10 +220,11 @@ TEST(SoftSim, ZeroRateBitIdenticalAtEveryShardCount) {
     ASSERT_TRUE(ref.ok()) << ref.status().to_string();
     EXPECT_FALSE(ref->soft.active);
     for (int shards : {1, 2, 4}) {
+      Engine sharded(EngineOptions().with_threads(4).with_sim_shards(shards)
+                         .with_cache_dir(dir.path));
       SimRequest z = req;
-      z.sim_shards = shards;
       z.soft.seed = 99;  // the seed alone must not matter at rate 0
-      auto zr = engine.simulate("DWT2D", z);
+      auto zr = sharded.simulate("DWT2D", z);
       ASSERT_TRUE(zr.ok());
       expect_same_sim_stats(ref->stats, zr->stats,
                             "rate 0 T=" + std::to_string(shards));
@@ -253,9 +254,9 @@ TEST(SoftSim, ExposureTrackingDoesNotPerturbTheRun) {
 
   // The exposure integral itself is shard-invariant.
   for (int shards : {2, 4}) {
-    SimRequest s = req;
-    s.sim_shards = shards;
-    auto r = engine.simulate("DWT2D", s);
+    Engine sharded(EngineOptions().with_threads(2).with_sim_shards(shards)
+                       .with_cache_dir(dir.path));
+    auto r = sharded.simulate("DWT2D", req);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->soft.live_bit_cycles, e->soft.live_bit_cycles)
         << "T=" << shards;
@@ -290,13 +291,13 @@ TEST(SoftSim, CompressedCrossSectionAtMostBaseline) {
 
 TEST(SoftSim, SameSeedSameTraceAndStatsAtShards124) {
   TempDir dir("gpurf_test_cache_softdet");
-  Engine engine(EngineOptions().with_threads(4).with_cache_dir(dir.path));
+  Engine engine(EngineOptions().with_threads(4).with_sim_shards(1)
+                    .with_cache_dir(dir.path));
   SimRequest req;
   req.mode = wl::SimMode::kCompressedPerfect;
   req.scale = wl::Scale::kSample;
   req.soft.flips_per_mcycle = 100000.0;
   req.soft.seed = 3;
-  req.sim_shards = 1;
   auto ref = engine.simulate("DWT2D", req);
   ASSERT_TRUE(ref.ok()) << ref.status().to_string();
   EXPECT_TRUE(ref->soft.active);
@@ -307,9 +308,9 @@ TEST(SoftSim, SameSeedSameTraceAndStatsAtShards124) {
   EXPECT_EQ(ref->soft.seed, 3u);
 
   for (int shards : {2, 4}) {
-    SimRequest s = req;
-    s.sim_shards = shards;
-    auto r = engine.simulate("DWT2D", s);
+    Engine sharded(EngineOptions().with_threads(4).with_sim_shards(shards)
+                       .with_cache_dir(dir.path));
+    auto r = sharded.simulate("DWT2D", req);
     ASSERT_TRUE(r.ok());
     expect_same_sim_stats(ref->stats, r->stats,
                           "soft T=" + std::to_string(shards));
@@ -411,7 +412,7 @@ TEST(TransientCampaign, SweepCompletesDeterministicallyAndSerializes) {
   EXPECT_EQ(res->points[3].flips_per_mcycle, 20000.0);
   EXPECT_NE(res->points[0].seed, res->points[1].seed);
   for (const auto& pt : res->points) {
-    EXPECT_EQ(pt.state, JobState::kDone) << pt.error;
+    EXPECT_TRUE(pt.error.empty()) << pt.error;
     EXPECT_TRUE(pt.soft.active);
     EXPECT_EQ(pt.soft.flips_injected,
               pt.soft.flips_on_live + pt.soft.flips_masked_dead);

@@ -68,15 +68,15 @@ struct RealAllocation {
 ///   int      integers packed by their analysed ranges;
 ///   int+f16  that plus every f32 register at the 16-bit format
 ///            (sim_golden_test's two compressed allocations);
-///   faulty   int+f16 around a seeded map with 90 % of the slices broken,
-///            which redirects and spills registers.
-/// Together they hold split, signed-narrow, narrow-float, redirected and
-/// spilled entries.
+///   faulty   int+f16 around a seeded map with 80 % of the slices broken,
+///            which redirects every register and splits most of them.
+/// Together they hold split, signed-narrow, narrow-float and redirected
+/// entries.
 inline std::vector<RealAllocation> real_allocations(
     const std::vector<std::unique_ptr<gpurf::workloads::Workload>>&
         workloads) {
   namespace alloc = gpurf::alloc;
-  const auto faults = gpurf::rf::FaultMap::generate(7, 0.9);
+  const auto faults = gpurf::rf::FaultMap::generate(7, 0.8);
   std::vector<RealAllocation> out;
   for (const auto& w : workloads) {
     const gpurf::ir::Kernel& k = w->kernel();
