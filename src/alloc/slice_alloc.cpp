@@ -31,25 +31,19 @@ std::vector<bool> appearing_regs(const ir::Kernel& k) {
 }
 
 struct PhysReg {
-  // occupants[s]: architectural registers using slice-column s.
-  std::array<std::vector<uint32_t>, gpurf::rf::kSlicesPerReg> occupants;
+  explicit PhysReg(size_t num_regs) { columns.fill(DynBitset(num_regs)); }
+  // columns[s]: architectural registers using slice-column s.
+  std::array<DynBitset, gpurf::rf::kSlicesPerReg> columns;
 };
 
 /// Slices of `p` that register `r` could use: a slice-column is available
-/// when none of its occupants interferes with r.
+/// when it holds neither r nor a register interfering with r.
 uint8_t available_mask(const PhysReg& p, uint32_t r,
                        const std::vector<DynBitset>& adj) {
   uint8_t m = 0;
-  for (int s = 0; s < gpurf::rf::kSlicesPerReg; ++s) {
-    bool ok = true;
-    for (uint32_t o : p.occupants[s]) {
-      if (o == r || adj[r].test(o)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) m |= static_cast<uint8_t>(1u << s);
-  }
+  for (int s = 0; s < gpurf::rf::kSlicesPerReg; ++s)
+    if (!p.columns[s].test(r) && !p.columns[s].intersects(adj[r]))
+      m |= static_cast<uint8_t>(1u << s);
   return m;
 }
 
@@ -68,12 +62,26 @@ uint8_t take_slices(uint8_t avail, int n) {
 
 void occupy(PhysReg& p, uint8_t mask, uint32_t r) {
   for (int s = 0; s < gpurf::rf::kSlicesPerReg; ++s)
-    if (mask & (1u << s)) p.occupants[s].push_back(r);
+    if (mask & (1u << s)) p.columns[s].set(r);
 }
 
 }  // namespace
 
+KernelInterference kernel_interference(const ir::Kernel& k) {
+  const auto cfg = analysis::build_cfg(k);
+  const auto live = analysis::compute_liveness(k, cfg);
+  return {analysis::build_interference(k, cfg, live), appearing_regs(k)};
+}
+
 AllocationResult allocate_slices(const ir::Kernel& k,
+                                 const analysis::RangeAnalysisResult* ranges,
+                                 const exec::PrecisionMap* pmap,
+                                 const AllocOptions& opt) {
+  return allocate_slices(k, kernel_interference(k), ranges, pmap, opt);
+}
+
+AllocationResult allocate_slices(const ir::Kernel& k,
+                                 const KernelInterference& ki,
                                  const analysis::RangeAnalysisResult* ranges,
                                  const exec::PrecisionMap* pmap,
                                  const AllocOptions& opt) {
@@ -81,11 +89,8 @@ AllocationResult allocate_slices(const ir::Kernel& k,
               "pack_ints requires range-analysis results");
   GPURF_CHECK(!opt.pack_floats || (pmap != nullptr && pmap->active()),
               "pack_floats requires a precision map");
-
-  const auto cfg = analysis::build_cfg(k);
-  const auto live = analysis::compute_liveness(k, cfg);
-  const auto adj = analysis::build_interference(k, cfg, live);
-  const auto used = appearing_regs(k);
+  const auto& adj = ki.adj;
+  const auto& used = ki.appearing;
 
   AllocationResult res;
   res.table.assign(k.num_regs(), IndirectionEntry{});
@@ -206,7 +211,7 @@ AllocationResult allocate_slices(const ir::Kernel& k,
     // growing — a split against an existing register can still resolve it
     // — up to the indirection table's 256-register cap.
     while (!placed && phys.size() < gpurf::rf::kPhysRegs) {
-      phys.emplace_back();
+      phys.emplace_back(k.num_regs());
       placed = try_place(it, e);
     }
     GPURF_CHECK(placed, (faults ? "fault map leaves no room" : "no room")

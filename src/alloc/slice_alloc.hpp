@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "analysis/range_analysis.hpp"
+#include "common/bitset.hpp"
 #include "exec/machine.hpp"
 #include "ir/kernel.hpp"
 
@@ -100,9 +101,25 @@ struct AllocationResult {
 /// Baseline 32-bit pressure: graph-colouring register count.
 uint32_t baseline_pressure(const gpurf::ir::Kernel& k);
 
+/// What every slice allocation of one kernel reads of it, whatever the
+/// widths: the interference graph and the registers its code names.  A
+/// caller allocating one kernel several times builds it once.
+struct KernelInterference {
+  std::vector<DynBitset> adj;   ///< analysis::build_interference
+  std::vector<bool> appearing;  ///< read or written by some instruction
+};
+
+KernelInterference kernel_interference(const gpurf::ir::Kernel& k);
+
 /// Slice-packing allocation.  `ranges` may be null when !opt.pack_ints;
 /// `pmap` may be null when !opt.pack_floats.  Throws gpurf::Error when an
-/// operand fits nowhere in the 256-register file.
+/// operand fits nowhere in the 256-register file.  `ki` must be
+/// kernel_interference(k); the overload without it builds it.
+AllocationResult allocate_slices(const gpurf::ir::Kernel& k,
+                                 const KernelInterference& ki,
+                                 const analysis::RangeAnalysisResult* ranges,
+                                 const exec::PrecisionMap* pmap,
+                                 const AllocOptions& opt);
 AllocationResult allocate_slices(const gpurf::ir::Kernel& k,
                                  const analysis::RangeAnalysisResult* ranges,
                                  const exec::PrecisionMap* pmap,

@@ -510,18 +510,13 @@ Job Engine::submit(JobRequest req) {
   // this listener and the executor that pops the job comes first drops
   // the queue entry, releases the slot and counts the job.
   impl->add_listener([this, job = impl.get()] {
-    {
-      common::MutexLock lock(qmu_);
-      const auto it = std::find_if(
-          queue_.begin(), queue_.end(),
-          [&](const auto& q) { return q.get() == job; });
-      if (it == queue_.end() || job->points_handed > 0) return;
-      queue_.erase(it);
-      --inflight_;
-      slot_cv_.notify_one();
-    }
-    metrics_.record_terminal(terminal_state_for(job->status), false,
-                             wall_us_since(job->submitted_at));
+    common::MutexLock lock(qmu_);
+    const auto it = std::find_if(
+        queue_.begin(), queue_.end(),
+        [&](const auto& q) { return q.get() == job; });
+    if (it == queue_.end() || job->points_handed > 0) return;
+    queue_.erase(it);
+    release_slot_locked(*job, job->status);
   });
 
   {
@@ -593,18 +588,24 @@ void Engine::evict_terminal_jobs_locked() {
   }
 }
 
+void Engine::release_slot_locked(const detail::JobImpl& job,
+                                 const Status& st) {
+  --inflight_;
+  slot_cv_.notify_one();
+  metrics_.record_terminal(terminal_state_for(st), st.ok(),
+                           wall_us_since(job.submitted_at));
+}
+
 void Engine::finish_job(detail::JobImpl& job, Status st) {
-  const JobState terminal = terminal_state_for(st);
   // Ordering contract for observers woken by finalize(): the slot is
   // released first (inflight() == 0 once every waited-on job is terminal)
   // and the metrics are recorded first (a wait() that returned sees this
   // job in the terminal-state counters).
   {
     common::MutexLock lock(qmu_);
-    --inflight_;
-    slot_cv_.notify_one();
+    release_slot_locked(job, st);
   }
-  metrics_.record_terminal(terminal, st.ok(), wall_us_since(job.submitted_at));
+  const JobState terminal = terminal_state_for(st);
   job.finalize(terminal, std::move(st));
 }
 
@@ -693,6 +694,7 @@ void Engine::executor_loop() {
     std::shared_ptr<detail::JobImpl> job;
     uint64_t point = 0;
     bool started = true;
+    Status refused;  // why a popped job never started
     {
       common::MutexLock lock(qmu_);
       qcv_.wait(lock.native(), [&]() GPURF_NO_THREAD_SAFETY_ANALYSIS {
@@ -724,16 +726,24 @@ void Engine::executor_loop() {
         queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(best));
       else
         qcv_.notify_one();
+      if (!started) {
+        // The job went terminal while queued or its token demands a stop
+        // before any work started.  Once popped, the discard is this
+        // executor's, not the submit-time listener's, and it happens
+        // under this lock: a cancel's finalize may already be running,
+        // and its listener publishes the terminal state only after it
+        // has taken this lock.
+        refused = job->token.stop_reason() == common::StopReason::kDeadline
+                      ? Status::DeadlineExceeded("deadline expired in queue")
+                      : Status::Cancelled("cancelled while queued");
+        release_slot_locked(*job, refused);
+      }
     }
 
     if (!started) {
-      // The job went terminal while queued or its token demands a stop
-      // before any work started.  Once popped, the discard is this
-      // executor's, not the submit-time listener's.
-      finish_job(*job,
-                 job->token.stop_reason() == common::StopReason::kDeadline
-                     ? Status::DeadlineExceeded("deadline expired in queue")
-                     : Status::Cancelled("cancelled while queued"));
+      // A no-op when the cancel's finalize is already in flight.
+      const JobState terminal = terminal_state_for(refused);
+      job->finalize(terminal, std::move(refused));
     } else {
       // Queue-wait latency: submit -> the executor actually starting
       // the job (admission wait for a slot plus time parked in the queue).

@@ -277,6 +277,11 @@ class Engine {
                      const StatusOr<sim::SimResult>* r);
   /// Release the slot, count the terminal state and finalize.
   void finish_job(detail::JobImpl& job, Status st);
+  /// Release a job's slot and count its terminal status `st`.  Whoever
+  /// discards a job does this before its finalize() can publish the
+  /// terminal state, so a wait() that returned sees both.
+  void release_slot_locked(const detail::JobImpl& job, const Status& st)
+      GPURF_REQUIRES(qmu_);
   void evict_terminal_jobs_locked() GPURF_REQUIRES(qmu_);
 
   EngineOptions opts_;

@@ -47,6 +47,14 @@ class DynBitset {
     for (size_t i = 0; i < w_.size(); ++i) w_[i] &= ~o.w_[i];
   }
 
+  /// Whether this and `o` have a set bit in common.
+  bool intersects(const DynBitset& o) const {
+    GPURF_ASSERT(n_ == o.n_, "bitset size mismatch");
+    for (size_t i = 0; i < w_.size(); ++i)
+      if (w_[i] & o.w_[i]) return true;
+    return false;
+  }
+
   size_t count() const {
     size_t c = 0;
     for (uint64_t w : w_) c += static_cast<size_t>(__builtin_popcountll(w));

@@ -55,10 +55,11 @@ struct GpuConfig {
   // What one simulated SM can hold; sim::validate_launch_spec rejects a
   // config outside [1, max] in any of these, or without an SM.  Collector
   // units are bits of 32-bit masks, and so are the per-bank pending
-  // fetches.
+  // fetches; warp slots are bits of each scheduler's 64-bit masks.
   static constexpr uint32_t kMaxWarpSchedulers = 8;
   static constexpr uint32_t kMaxCollectorUnits = 32;
   static constexpr uint32_t kMaxRegisterBanks = 32;
+  static constexpr uint32_t kMaxWarpsPerSm = 64;
 
   static GpuConfig fermi_gtx480() { return GpuConfig{}; }
 };

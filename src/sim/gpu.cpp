@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -24,6 +25,9 @@ using ir::UnitClass;
 namespace {
 
 constexpr int kNoIndex = -1;
+
+/// Wake cycle of an SM that no later cycle can change.
+constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
 
 /// Process-wide token bounding sharded-sim thread usage: at most one
 /// simulation runs a dedicated shard crew at a time.  A second concurrent
@@ -114,19 +118,39 @@ struct BlockCtx {
 
 /// One warp slot of an SM.  The slot index is the warp's global id: it
 /// hashes operands to banks and picks the warp's scheduler
-/// (slot % warp_schedulers).
+/// (slot % warp_schedulers), in whose masks it is bit slot / warp_schedulers.
 struct WarpCtx {
   int block = kNoIndex;          ///< index into SmCore::blocks_
   uint32_t warp_in_block = 0;
-  bool at_barrier = false;
-  bool active = false;
+  uint32_t sched = 0;            ///< scheduler owning the slot
+  uint64_t bit = 0;              ///< the slot's bit in that scheduler's masks
   std::vector<uint8_t> pending;  ///< scoreboard flags per register
   /// The warp's next instruction (null once it is done).  Only step()
   /// moves a warp's PC — soft flips write registers, never the PC — so
   /// fill_blocks() and every issue refresh it.
   const exec::DecodedInst* next = nullptr;
-  /// A register of `next` last seen pending (see scoreboard_clear).
+  /// The first register of `next` (sources, guard, destination) that
+  /// awaits writeback; kNoReg when the scoreboard lets `next` issue.
   uint32_t blocked_on = ir::kNoReg;
+};
+
+/// One warp scheduler's slots as bit masks, bit i being slot
+/// sched + i * warp_schedulers (GpuConfig::kMaxWarpsPerSm bounds i).
+/// Each mask changes only where the warp state it mirrors does, so issue
+/// reads a few words instead of probing every slot.  An active warp
+/// always has a next instruction: only RET ends a warp, and it retires
+/// the warp as it issues.
+struct SchedMasks {
+  uint64_t active = 0;    ///< holds a live warp
+  uint64_t barrier = 0;   ///< waits at a BAR
+  uint64_t control = 0;   ///< next is a control instruction (needs no CU)
+  uint64_t blocked = 0;   ///< a register of next awaits writeback
+  int greedy = kNoIndex;  ///< bit of the warp issued last (GTO)
+};
+
+/// Issue-slot stall classes of one tick, summed over the schedulers.
+struct Stalls {
+  uint32_t scoreboard = 0, no_cu = 0, barrier = 0, empty = 0;
 };
 
 class BlockDispatcher {
@@ -181,30 +205,62 @@ class SmCore {
     const uint32_t wpb = spec.launch.warps_per_block();
     warps_.resize(size_t(occ.blocks_per_sm) * wpb);
     for (size_t slot = 0; slot < warps_.size(); ++slot) {
-      warps_[slot].warp_in_block = uint32_t(slot % wpb);
-      warps_[slot].pending.assign(spec.kernel->num_regs(), 0);
+      WarpCtx& wc = warps_[slot];
+      wc.warp_in_block = uint32_t(slot % wpb);
+      wc.sched = uint32_t(slot % g.warp_schedulers);
+      wc.bit = uint64_t(1) << (slot / g.warp_schedulers);
+      wc.pending.assign(spec.kernel->num_regs(), 0);
     }
     blocks_.resize(occ.blocks_per_sm);
-    greedy_warp_.fill(kNoIndex);
   }
 
-  bool idle() const {
-    for (const auto& b : blocks_)
-      if (b.exec) return false;
-    return true;
-  }
+  bool idle() const { return resident_ == 0; }
+
+  /// First cycle at which this SM must tick again (see barrier()).
+  uint64_t wake() const { return wake_; }
 
   /// Parallel phase: everything an SM does in one cycle that touches only
   /// SM-private state.  L2-bound memory dispatches are buffered (see
   /// PendingL2) instead of probing the shared L2; block refill moved to
   /// fill_blocks() in the barrier phase.
-  void tick(uint64_t now) {
+  ///
+  /// A tick that issues nothing and leaves no collector unit in use is
+  /// quiet: until a writeback retires or a block arrives, every later
+  /// cycle would repeat it exactly, stall classes included, so the SM
+  /// skips those cycles and credits their stalls when it next ticks (or
+  /// in finish()).  With a soft-error model attached it never skips:
+  /// exposure and flips act every cycle.
+  [[gnu::aligned(64)]] void tick(uint64_t now) {
+    credit_quiet(now);
     if (soft_model_) accumulate_exposure();
     retire_writebacks(now);
     dispatch_ready(now);
     arbitrate_banks(now);
     run_converters(now);
-    issue(now);
+    quiet_ = !issue(now) && cu_valid_ == 0 && !soft_model_;
+    ticked_to_ = now + 1;
+  }
+
+  /// Barrier phase (serial, SM-index order): replay this cycle's L2
+  /// probes, claim free block slots from `dispatcher` (null once it is
+  /// empty), and return the next cycle this SM must tick — `next`, or for
+  /// a quiet SM its earliest writeback (kNever without one: no later cycle
+  /// can change it).
+  uint64_t barrier(Cache& l2, BlockDispatcher* dispatcher, uint64_t next) {
+    commit_memory(l2);
+    if (dispatcher) fill_blocks(*dispatcher);
+    wake_ = !quiet_      ? next
+            : wb_.empty() ? kNever
+                          : std::max(next, wb_.top().cycle);
+    return wake_;
+  }
+
+  /// End of the launch at `cycles`: credit the cycles skipped since the
+  /// last tick.
+  void finish(uint64_t cycles) {
+    credit_quiet(cycles);
+    stats_.l1.merge(l1_.stats());
+    stats_.tex.merge(tex_.stats());
   }
 
   /// Serial phase only (SM-index order, like commit_memory): land one
@@ -217,7 +273,7 @@ class SmCore {
     const auto masked = [&] { ++stats_.soft_flips_masked_dead; };
     if (ev.warp_slot >= warps_.size()) return masked();
     WarpCtx& wc = warps_[ev.warp_slot];
-    if (!wc.active || wc.block == kNoIndex) return masked();
+    if (!active(wc) || wc.block == kNoIndex) return masked();
     BlockCtx& blk = blocks_[wc.block];
     if (!blk.exec) return masked();
     exec::WarpState& ws = blk.exec->warp_mut(wc.warp_in_block);
@@ -255,7 +311,7 @@ class SmCore {
     ++stats_.soft_flips_visible;
   }
 
-  /// Barrier phase 1 (serial, SM-index order): replay this SM's buffered
+  /// Barrier phase (serial, SM-index order): replay this SM's buffered
   /// L2 probes against the shared L2 and schedule the writebacks whose
   /// latency depended on the hit/miss outcomes.
   void commit_memory(Cache& l2) {
@@ -274,10 +330,11 @@ class SmCore {
     l2_lines_.clear();
   }
 
-  /// Barrier phase 2 (serial, SM-index order): claim blocks from the
+  /// Barrier phase (serial, SM-index order): claim blocks from the
   /// shared dispatcher.  Running this at the barrier — instead of
   /// on-demand inside tick() — is what makes block placement a pure
-  /// function of the cycle number and the SM index.
+  /// function of the cycle number and the SM index.  A block wakes the
+  /// SM on the next cycle.
   void fill_blocks(BlockDispatcher& dispatcher) {
     for (uint32_t slot = 0; slot < blocks_.size(); ++slot) {
       if (blocks_[slot].exec || dispatcher.empty()) continue;
@@ -287,22 +344,19 @@ class SmCore {
       b.warps_live = warps_per_block();
       b.barrier_arrived = 0;
       ++stats_.blocks_run;
+      ++resident_;
+      quiet_ = false;
       for (uint32_t w = 0; w < warps_per_block(); ++w) {
         WarpCtx& wc = warps_[size_t(slot) * warps_per_block() + w];
+        SchedMasks& s = sched_[wc.sched];
         wc.block = static_cast<int>(slot);
-        wc.active = true;
-        wc.at_barrier = false;
+        s.active |= wc.bit;
+        s.barrier &= ~wc.bit;
         std::fill(wc.pending.begin(), wc.pending.end(), 0);
-        wc.next = b.exec->peek_decoded(w);
+        refresh_next(wc);
+        refresh_blocked(wc);
       }
     }
-  }
-
-  /// L1 / texture miss-rate bookkeeping is merged into this SM's stats at
-  /// the end of the run; simulate() folds per-SM stats in SM-index order.
-  void flush_cache_stats() {
-    stats_.l1.merge(l1_.stats());
-    stats_.tex.merge(tex_.stats());
   }
 
   const SimStats& stats() const { return stats_; }
@@ -311,13 +365,61 @@ class SmCore {
  private:
   uint32_t warps_per_block() const { return spec_.launch.warps_per_block(); }
 
+  bool active(const WarpCtx& wc) const {
+    return (sched_[wc.sched].active & wc.bit) != 0;
+  }
+
+  /// Credit the quiet cycles skipped between the last tick and `now` with
+  /// the last tick's stalls.
+  void credit_quiet(uint64_t now) {
+    const uint64_t skipped = now - ticked_to_;
+    if (skipped == 0) return;
+    stats_.stall_scoreboard += skipped * quiet_stalls_.scoreboard;
+    stats_.stall_no_cu += skipped * quiet_stalls_.no_cu;
+    stats_.stall_barrier += skipped * quiet_stalls_.barrier;
+    stats_.stall_empty += skipped * quiet_stalls_.empty;
+  }
+
+  static void assign_bit(uint64_t& mask, uint64_t bit, bool on) {
+    mask = on ? mask | bit : mask & ~bit;
+  }
+
+  /// Read the warp's next instruction after its PC moved (issue, fill);
+  /// the caller re-derives the blocked bit once the scoreboard is set.
+  void refresh_next(WarpCtx& wc) {
+    wc.next = blocks_[wc.block].exec->peek_decoded(wc.warp_in_block);
+    assign_bit(sched_[wc.sched].control, wc.bit,
+               wc.next && wc.next->is_control);
+  }
+
+  /// Scoreboard: `next` may not issue while a register it touches
+  /// (sources, guard, destination) awaits writeback.  Re-derived whenever
+  /// `next` or the register it waits on changes.
+  void refresh_blocked(WarpCtx& wc) {
+    wc.blocked_on = ir::kNoReg;
+    if (wc.next) {
+      const ir::Instruction& in = *wc.next->in;
+      const auto pending = [&](uint32_t r) {
+        if (!wc.pending[r]) return false;
+        wc.blocked_on = r;
+        return true;
+      };
+      bool blocked = false;
+      for (int i = 0; i < in.num_srcs && !blocked; ++i)
+        blocked = in.srcs[i].is_reg() && pending(in.srcs[i].index);
+      if (!blocked && in.guard != ir::kNoReg) blocked = pending(in.guard);
+      if (!blocked && wc.next->has_dst) pending(in.dst);
+    }
+    assign_bit(sched_[wc.sched].blocked, wc.bit, wc.blocked_on != ir::kNoReg);
+  }
+
   /// Live-bit exposure integral (PR 7): per cycle, every resident warp
   /// contributes (live payload bits at its current position) x (valid
   /// lanes).  Purely SM-private, position-driven, flip-independent — the
   /// deterministic cross-section number `gpurf-figures soft` compares.
   void accumulate_exposure() {
     for (const WarpCtx& wc : warps_) {
-      if (!wc.active || wc.block == kNoIndex) continue;
+      if (!active(wc) || wc.block == kNoIndex) continue;
       const BlockCtx& blk = blocks_[wc.block];
       if (!blk.exec) continue;
       const exec::WarpState& ws = blk.exec->warp(wc.warp_in_block);
@@ -333,12 +435,14 @@ class SmCore {
     while (!wb_.empty() && wb_.top().cycle <= now) {
       const WriteBack w = wb_.top();
       wb_.pop();
-      warps_[w.warp].pending[w.reg] = 0;
+      WarpCtx& wc = warps_[w.warp];
+      wc.pending[w.reg] = 0;
+      if (wc.blocked_on == w.reg) refresh_blocked(wc);
     }
   }
 
   // ------------------------------------------------------------- dispatch
-  void dispatch_ready(uint64_t now) {
+  [[gnu::aligned(64)]] void dispatch_ready(uint64_t now) {
     spu_used_ = 0;  // both SPUs accept one instruction per cycle
     // Dispatch ready collector units oldest first: ordered by
     // (alloc_cycle, index), so a tie goes to the lower index.  Bits come
@@ -449,105 +553,88 @@ class SmCore {
   }
 
   // ------------------------------------------------------------------ issue
-  void issue(uint64_t now) {
-    const int nwarps = int(warps_.size());
-    const int nsched = int(g_.warp_schedulers);
-    for (int sched = 0; sched < nsched; ++sched) {
-      bool saw_scoreboard = false, saw_no_cu = false, saw_barrier = false;
-      // Try warp slot w; true when it issued.
-      const auto try_issue = [&](int w) {
-        WarpCtx& wc = warps_[w];
-        if (!wc.active) return false;
-        if (wc.at_barrier) {
-          saw_barrier = true;
-          return false;
-        }
-        // The cached predecoded view classifies the instruction; step()
-        // below executes it through the SoA warp kernels of the
-        // functional interpreter.
-        const exec::DecodedInst* dec = wc.next;
-        if (!dec) return false;
-        if (!scoreboard_clear(wc)) {
-          saw_scoreboard = true;
-          return false;
-        }
-        int cu_slot = kNoIndex;
-        if (!dec->is_control) {
-          cu_slot = std::countr_zero(~cu_valid_);
-          if (cu_slot >= int(cus_.size())) {
-            saw_no_cu = true;
-            return false;
-          }
-        }
-
-        // Issue: functional execution happens now.
-        BlockCtx& blk = blocks_[wc.block];
-        const exec::StepResult step = blk.exec->step(wc.warp_in_block);
-        wc.next = blk.exec->peek_decoded(wc.warp_in_block);
-        ++stats_.warp_insts;
-        greedy_warp_[sched] = w;
-        if (dec->is_control) {
-          handle_control(w, step);
-          if (!wc.active || wc.at_barrier) greedy_warp_[sched] = kNoIndex;
-        } else {
-          allocate_cu(now, w, cu_slot, step);
-        }
-        return true;
-      };
-      // GTO: greedily retry the last-issued warp first, then this
-      // scheduler's slots (sched, sched + nsched, ...) in arrival order.
-      const int greedy = greedy_warp_[sched];
-      bool issued = greedy != kNoIndex && try_issue(greedy);
-      for (int w = sched; !issued && w < nwarps; w += nsched)
-        if (w != greedy) issued = try_issue(w);
-      if (!issued) {
-        greedy_warp_[sched] = kNoIndex;
-        if (saw_scoreboard) ++stats_.stall_scoreboard;
-        else if (saw_no_cu) ++stats_.stall_no_cu;
-        else if (saw_barrier) ++stats_.stall_barrier;
-        else ++stats_.stall_empty;
+  /// Each scheduler issues one ready warp: the one it issued last if it is
+  /// still ready (GTO), else the lowest ready slot.  A warp is ready when
+  /// it is active, not at a barrier, the scoreboard lets its next
+  /// instruction through, and — unless that instruction is control — a
+  /// collector unit is free.  A scheduler that issues nothing charges one stall
+  /// class, the first that holds of scoreboard, no_cu, barrier, empty.
+  /// Returns whether any scheduler issued; the stalls are kept for
+  /// credit_quiet().
+  [[gnu::aligned(64)]] bool issue(uint64_t now) {
+    bool issued = false;
+    Stalls st;
+    const int ncus = int(cus_.size());
+    for (uint32_t sc = 0; sc < g_.warp_schedulers; ++sc) {
+      SchedMasks& s = sched_[sc];
+      const uint64_t live = s.active & ~s.barrier;
+      const uint64_t clear = live & ~s.blocked;
+      const bool cu_free = std::countr_zero(~cu_valid_) < ncus;
+      const uint64_t ready = cu_free ? clear : clear & s.control;
+      if (!ready) {
+        s.greedy = kNoIndex;
+        if (live & s.blocked) ++st.scoreboard;
+        else if (clear) ++st.no_cu;
+        else if (s.active & s.barrier) ++st.barrier;
+        else ++st.empty;
+        continue;
       }
+      const int bit = s.greedy != kNoIndex && ((ready >> s.greedy) & 1)
+                          ? s.greedy
+                          : std::countr_zero(ready);
+      issue_warp(now, int(sc + uint32_t(bit) * g_.warp_schedulers), bit);
+      issued = true;
     }
+    stats_.stall_scoreboard += st.scoreboard;
+    stats_.stall_no_cu += st.no_cu;
+    stats_.stall_barrier += st.barrier;
+    stats_.stall_empty += st.empty;
+    quiet_stalls_ = st;
+    return issued;
   }
 
-  /// Scoreboard: false while a register the warp's next instruction
-  /// touches (sources, guard, destination) awaits writeback.  The register
-  /// found pending is kept in `blocked_on`, so later cycles test that one
-  /// flag until its writeback lands.
-  static bool scoreboard_clear(WarpCtx& wc) {
-    if (wc.blocked_on != ir::kNoReg && wc.pending[wc.blocked_on]) return false;
-    const ir::Instruction& in = *wc.next->in;
-    const auto pending = [&](uint32_t r) {
-      if (!wc.pending[r]) return false;
-      wc.blocked_on = r;
-      return true;
-    };
-    for (int i = 0; i < in.num_srcs; ++i)
-      if (in.srcs[i].is_reg() && pending(in.srcs[i].index)) return false;
-    if (in.guard != ir::kNoReg && pending(in.guard)) return false;
-    if (wc.next->has_dst && pending(in.dst)) return false;
-    wc.blocked_on = ir::kNoReg;
-    return true;
+  /// Issue warp slot `w` (bit `bit` of its scheduler): functional
+  /// execution happens now, through the SoA warp kernels of the
+  /// functional interpreter.
+  void issue_warp(uint64_t now, int w, int bit) {
+    WarpCtx& wc = warps_[w];
+    SchedMasks& s = sched_[wc.sched];
+    const bool control = wc.next->is_control;
+    const exec::StepResult step =
+        blocks_[wc.block].exec->step(wc.warp_in_block);
+    ++stats_.warp_insts;
+    s.greedy = bit;
+    refresh_next(wc);  // before handle_control can retire the block
+    if (control) {
+      handle_control(w, step);
+      if (!(s.active & wc.bit) || (s.barrier & wc.bit)) s.greedy = kNoIndex;
+    } else {
+      allocate_cu(now, w, std::countr_zero(~cu_valid_), step);
+    }
+    refresh_blocked(wc);
   }
 
   void handle_control(int w, const exec::StepResult& step) {
     WarpCtx& wc = warps_[w];
     BlockCtx& blk = blocks_[wc.block];
     if (step.warp_done) {
-      wc.active = false;
+      sched_[wc.sched].active &= ~wc.bit;
       GPURF_ASSERT(blk.warps_live > 0, "warp count underflow");
       if (--blk.warps_live == 0) {
         blk.exec.reset();  // slot refilled by fill_blocks()
+        --resident_;
       }
       return;
     }
     if (step.at_barrier) {
-      wc.at_barrier = true;
+      sched_[wc.sched].barrier |= wc.bit;
       if (++blk.barrier_arrived == blk.warps_live) {
         blk.barrier_arrived = 0;
         const uint32_t base = uint32_t(wc.block) * warps_per_block();
-        for (uint32_t i = 0; i < warps_per_block(); ++i)
-          warps_[base + i].at_barrier = false;
+        for (uint32_t i = 0; i < warps_per_block(); ++i) {
+          const WarpCtx& bw = warps_[base + i];
+          sched_[bw.sched].barrier &= ~bw.bit;
+        }
       }
     }
   }
@@ -725,7 +812,14 @@ class SmCore {
   uint64_t ldst_free_ = 0;
   uint64_t sfu_free_ = 0;
   uint32_t spu_used_ = 0;
-  std::array<int, GpuConfig::kMaxWarpSchedulers> greedy_warp_;
+  std::array<SchedMasks, GpuConfig::kMaxWarpSchedulers> sched_{};
+  uint32_t resident_ = 0;  ///< blocks held
+
+  // Quiet skipping (see tick()).
+  bool quiet_ = false;     ///< the last tick was quiet
+  Stalls quiet_stalls_;    ///< the last tick's stalls
+  uint64_t ticked_to_ = 0; ///< one past the last ticked cycle
+  uint64_t wake_ = 0;      ///< next cycle to tick
 };
 
 }  // namespace
@@ -746,6 +840,8 @@ void validate_launch_spec(const GpuConfig& gpu, const KernelLaunchSpec& spec) {
   };
   check_range("warp_schedulers", gpu.warp_schedulers,
               GpuConfig::kMaxWarpSchedulers);
+  check_range("max_warps_per_sm", gpu.max_warps_per_sm,
+              GpuConfig::kMaxWarpsPerSm);
   check_range("collector_units", gpu.collector_units,
               GpuConfig::kMaxCollectorUnits);
   check_range("register_banks", gpu.register_banks,
@@ -826,10 +922,13 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
   }
 
   // Per-cycle schedule, identical at every shard count:
-  //   1. parallel: every SM ticks against private state (L2 buffered);
-  //   2. barrier (one thread): L2 replay + writeback scheduling in
-  //      SM-index order, then block refill in SM-index order, then the
-  //      cycle counter / cancellation / termination bookkeeping.
+  //   1. parallel: every SM due this cycle ticks against private state
+  //      (L2 buffered); a quiet SM sleeps until its wake cycle;
+  //   2. barrier (one thread): per SM in SM-index order, L2 replay +
+  //      writeback scheduling, block refill while the dispatcher holds
+  //      blocks, and the SM's wake cycle; then the cycle counter,
+  //      cancellation and termination bookkeeping.  When every SM sleeps,
+  //      the clock jumps to the earliest wake (capped at max_cycles).
   // `stop` and `cycle` are written only inside the serial phase and read
   // by the shards after the barrier release (the barrier's epoch ordering
   // publishes them); `err` latches the first exception — shard loops must
@@ -843,14 +942,20 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
     if (!err) err = std::current_exception();
   };
 
-  const auto serial_phase = [&]() noexcept {
+  const auto serial_phase = [&]() noexcept __attribute__((aligned(64))) {
     try {
       if (err) {
         stop = true;
         return;
       }
-      for (auto& sm : sms) sm->commit_memory(l2);
-      for (auto& sm : sms) sm->fill_blocks(dispatcher);
+      const uint64_t next = cycle + 1;
+      BlockDispatcher* refill = dispatcher.empty() ? nullptr : &dispatcher;
+      uint64_t wake = kNever;
+      bool resident = false;
+      for (auto& sm : sms) {
+        wake = std::min(wake, sm->barrier(l2, refill, next));
+        resident |= !sm->idle();
+      }
       // Land this cycle's sampled strikes, routed to their SM in SM-index
       // independent arrival order (the process emits them sequentially) —
       // serial-phase-only, like every other cross-SM mutation.
@@ -859,16 +964,19 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
         while (soft_proc->next_flip(cycle, &site))
           sms[site.sm]->apply_soft_flip(site);
       }
-      ++cycle;
-      // Cancellation/deadline checkpoint + progress heartbeat: every 4096
-      // cycles keeps the poll off the per-cycle hot path while bounding
-      // the stop latency to one slice (unchanged from the serial-only
-      // simulator — Job cancellation latency does not grow with shards).
-      if (cancel && (cycle & 0xFFF) == 0) {
+      const bool done = dispatcher.empty() && !resident;
+      const uint64_t prev = cycle;
+      cycle = done ? next : std::min(wake, gpu.max_cycles);
+      // Cancellation/deadline checkpoint + progress heartbeat: once per
+      // 4096-cycle boundary crossed keeps the poll off the per-cycle hot
+      // path while bounding the stop latency to one slice (unchanged from
+      // the serial-only simulator — Job cancellation latency does not
+      // grow with shards or clock jumps).
+      if (cancel && (prev >> 12) != (cycle >> 12)) {
         cancel->sim_cycles.store(cycle, std::memory_order_relaxed);
         cancel->checkpoint();
       }
-      if (dispatcher.empty() && all_idle()) {
+      if (done) {
         stop = true;
         return;
       }
@@ -891,7 +999,8 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
       for (;;) {
         if (stop) break;
         try {
-          for (size_t s = lo; s < hi; ++s) sms[s]->tick(cycle);
+          for (size_t s = lo; s < hi; ++s)
+            if (sms[s]->wake() <= cycle) sms[s]->tick(cycle);
         } catch (...) {
           record_error();
         }
@@ -932,7 +1041,8 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
   }
   if (!crew_ran) {  // one shard, or the crew could not be spawned
     while (!stop) {
-      for (auto& sm : sms) sm->tick(cycle);
+      for (auto& sm : sms)
+        if (sm->wake() <= cycle) sm->tick(cycle);
       serial_phase();
     }
   }
@@ -940,7 +1050,7 @@ SimResult simulate(const GpuConfig& gpu, const CompressionConfig& comp,
 
   res.stats.cycles = cycle;
   for (auto& sm : sms) {
-    sm->flush_cache_stats();
+    sm->finish(cycle);
     res.stats.merge_sm(sm->stats());
     res.stats.thread_insts += sm->thread_insts();
   }

@@ -176,8 +176,9 @@ struct SimOptions {
 /// Validate a launch and the GPU it runs on before committing simulator
 /// resources.  Bad input (missing kernel/memory, unset register pressure,
 /// a block shape with zero threads, a GpuConfig without an SM, or one
-/// whose warp_schedulers, collector_units or register_banks lies outside
-/// [1, GpuConfig::kMax*]) raises gpurf::Error naming the field via
+/// whose warp_schedulers, max_warps_per_sm, collector_units or
+/// register_banks lies outside [1, GpuConfig::kMax*]) raises gpurf::Error
+/// naming the field via
 /// GPURF_CHECK — recoverable at the Engine boundary, which converts it to
 /// a Status instead of terminating.  An *empty grid* (zero blocks) is
 /// legal: it is a degenerate launch that simulates in exactly zero

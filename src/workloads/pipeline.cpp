@@ -389,21 +389,22 @@ PipelineResult compute_pipeline(const Workload& w,
   using gpurf::alloc::allocate_slices;
   AllocOptions none{false, false}, ints{true, false}, floats{false, true},
       both{true, true};
+  const auto ki = gpurf::alloc::kernel_interference(k);
 
   pr.pressure.original =
-      allocate_slices(k, nullptr, nullptr, none).num_physical_regs;
+      allocate_slices(k, ki, nullptr, nullptr, none).num_physical_regs;
   pr.pressure.narrow_int =
-      allocate_slices(k, &pr.ranges, nullptr, ints).num_physical_regs;
+      allocate_slices(k, ki, &pr.ranges, nullptr, ints).num_physical_regs;
   pr.pressure.narrow_float_perfect =
-      allocate_slices(k, nullptr, &pr.tune_perfect.pmap, floats)
+      allocate_slices(k, ki, nullptr, &pr.tune_perfect.pmap, floats)
           .num_physical_regs;
   pr.pressure.narrow_float_high =
-      allocate_slices(k, nullptr, &pr.tune_high.pmap, floats)
+      allocate_slices(k, ki, nullptr, &pr.tune_high.pmap, floats)
           .num_physical_regs;
   pr.alloc_both_perfect =
-      allocate_slices(k, &pr.ranges, &pr.tune_perfect.pmap, both);
+      allocate_slices(k, ki, &pr.ranges, &pr.tune_perfect.pmap, both);
   pr.alloc_both_high =
-      allocate_slices(k, &pr.ranges, &pr.tune_high.pmap, both);
+      allocate_slices(k, ki, &pr.ranges, &pr.tune_high.pmap, both);
   pr.pressure.both_perfect = pr.alloc_both_perfect.num_physical_regs;
   pr.pressure.both_high = pr.alloc_both_high.num_physical_regs;
   return pr;

@@ -230,6 +230,33 @@ TEST(Job, CancelWhileQueuedFreesItsSlot) {
   EXPECT_EQ(m.jobs_submitted, 3u);
 }
 
+TEST(Job, WaitAfterCancelSeesTheSlotFreedAndTheJobCounted) {
+  // A cancel right after submit races the executor's pop: the cancel's
+  // finalize and the executor's refusal to start can each discard the
+  // job.  Whichever does, wait() returns only once the job's slot is free
+  // and the job is in the terminal counters.
+  TempDir dir("gpurf_job_cache_race");
+  Engine engine(EngineOptions()
+                    .with_threads(2)
+                    .with_cache_dir(dir.path)
+                    .with_async_workers(2));
+  ASSERT_TRUE(engine.pipeline("DWT2D").ok());
+  SimRequest sample;
+  sample.scale = wl::Scale::kSample;
+  constexpr uint64_t kJobs = 20000;
+  uint64_t slot_held = 0, uncounted = 0;
+  for (uint64_t i = 1; i <= kJobs; ++i) {
+    Job job = engine.submit(JobRequest::simulate("DWT2D", sample));
+    job.cancel();
+    job.wait();
+    if (engine.inflight() != 0) ++slot_held;
+    const MetricsSnapshot m = engine.metrics_snapshot();
+    if (m.jobs_cancelled + m.jobs_done != i) ++uncounted;
+  }
+  EXPECT_EQ(slot_held, 0u) << "waits that returned with the slot held";
+  EXPECT_EQ(uncounted, 0u) << "waits that returned before the job counted";
+}
+
 TEST(Job, CancelMidFlightShardedSimulate) {
   // ISSUE 5: the cancel/progress checkpoint threads through the sharded
   // simulator's per-cycle barrier, so cancelling a multi-SM simulation

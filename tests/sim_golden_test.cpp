@@ -12,20 +12,28 @@
 // a hot-path change that moves every schedule the same way passes them;
 // this table does not.  The compressed rows are also checked at 4 shards.
 //
+// A sample-scale grid fits in one wave, so no block slot is ever refilled.
+// A second table holds full-scale launches of two waves or more (grid
+// blocks / (15 SMs x blocks per SM)), serial and at 4 shards, so it pins
+// the block refill and the tail where some SMs run out of blocks.
+//
 // An intended timing-model change regenerates the table: every mismatch
 // prints the measured row in the table's own format.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "alloc/slice_alloc.hpp"
 #include "analysis/range_analysis.hpp"
 #include "fp/format.hpp"
 #include "sim/gpu.hpp"
 #include "testing_util.hpp"
+#include "tuning/tuner.hpp"
 #include "workloads/pipeline.hpp"
 #include "workloads/workload.hpp"
 
@@ -33,6 +41,7 @@ namespace gpurf::sim {
 namespace {
 
 using gpurf::workloads::Scale;
+using gpurf::workloads::SimMode;
 using gpurf::workloads::Workload;
 
 struct GoldenRow {
@@ -85,6 +94,16 @@ constexpr GoldenRow kGolden[] = {
 };
 // clang-format on
 
+// Full scale, variant 0, under the pipeline's own launch spec and
+// compression config for the mode.
+// clang-format off
+constexpr GoldenRow kFullScale[] = {
+  {"DWT2D", "original", 14317, 125280, 3985920, 120, 188985, 91380, 0, 23865, 179280, 0, 0, 11520, 2880, 0, 0, 186960, 17952},
+  {"Hotspot", "original", 11619, 262800, 8138880, 144, 70649, 72, 565, 14484, 377136, 0, 0, 8318, 5398, 0, 0, 7700, 3456},
+  {"Elevated", "perfect", 61749, 846720, 24934651, 144, 981189, 0, 0, 24561, 1320174, 3456, 17280, 0, 0, 0, 0, 2286, 1144},
+};
+// clang-format on
+
 GoldenRow row_of(std::string_view workload, std::string_view config,
                  const SimStats& s) {
   return {workload, config, s.cycles, s.warp_insts, s.thread_insts,
@@ -108,11 +127,29 @@ std::string format_row(const GoldenRow& r) {
   return os.str();
 }
 
-const GoldenRow* golden_row(std::string_view workload,
+template <size_t N>
+const GoldenRow* golden_row(const GoldenRow (&table)[N],
+                            std::string_view workload,
                             std::string_view config) {
-  for (const GoldenRow& r : kGolden)
+  for (const GoldenRow& r : table)
     if (r.workload == workload && r.config == config) return &r;
   return nullptr;
+}
+
+template <size_t N>
+void expect_row(const GoldenRow (&table)[N], const GoldenRow& got,
+                int shards) {
+  const GoldenRow* want = golden_row(table, got.workload, got.config);
+  if (!want) {
+    ADD_FAILURE() << "no golden row for " << got.workload << " "
+                  << got.config << "; measured:\n"
+                  << format_row(got);
+  } else if (*want != got) {
+    ADD_FAILURE() << got.workload << " " << got.config << " at " << shards
+                  << " shard(s) differs from the table\n  want:\n"
+                  << format_row(*want) << "\n  got:\n"
+                  << format_row(got);
+  }
 }
 
 enum class Config { kBaseline, kInt, kIntF16 };
@@ -164,21 +201,69 @@ SimStats simulate_config(const Workload& w, Config c, int shards) {
 }
 
 void check_against_table(Config c, int shards) {
-  for (const auto& w : gpurf::workloads::make_all_workloads()) {
-    const std::string_view name = w->spec().name;
-    const GoldenRow got =
-        row_of(name, config_name(c), simulate_config(*w, c, shards));
-    const GoldenRow* want = golden_row(name, config_name(c));
-    if (!want) {
-      ADD_FAILURE() << "no golden row for " << name << " " << config_name(c)
-                    << "; measured:\n"
-                    << format_row(got);
-    } else if (*want != got) {
-      ADD_FAILURE() << name << " " << config_name(c) << " at " << shards
-                    << " shard(s) differs from the table\n  want:\n"
-                    << format_row(*want) << "\n  got:\n"
-                    << format_row(got);
-    }
+  for (const auto& w : gpurf::workloads::make_all_workloads())
+    expect_row(kGolden,
+               row_of(w->spec().name, config_name(c),
+                      simulate_config(*w, c, shards)),
+               shards);
+}
+
+/// One full-scale launch of kFullScale with the pipeline parts it reads.
+/// A compressed mode tunes only its own precision map, which equals the
+/// pipeline's.
+struct FullScaleLaunch {
+  std::unique_ptr<Workload> w;
+  SimMode mode;
+  std::string_view config;
+  gpurf::workloads::PipelineResult pr;
+};
+
+FullScaleLaunch full_scale_launch(std::unique_ptr<Workload> w, SimMode mode,
+                                  std::string_view config) {
+  const gpurf::ir::Kernel& k = w->kernel();
+  gpurf::workloads::PipelineResult pr;
+  pr.pressure.original =
+      gpurf::alloc::allocate_slices(k, nullptr, nullptr, {false, false})
+          .num_physical_regs;
+  if (mode == SimMode::kCompressedPerfect) {
+    pr.ranges = gpurf::analysis::analyze_ranges(k, w->launch(Scale::kFull));
+    const auto probe = gpurf::workloads::make_workload_probe(*w, {});
+    pr.tune_perfect = gpurf::tuning::tune_precision(k, *probe, {});
+    pr.alloc_both_perfect = gpurf::alloc::allocate_slices(
+        k, &pr.ranges, &pr.tune_perfect.pmap, {true, true});
+    pr.pressure.both_perfect = pr.alloc_both_perfect.num_physical_regs;
+  }
+  return {std::move(w), mode, config, std::move(pr)};
+}
+
+/// Built once: both shard counts simulate the same launches.
+const std::vector<FullScaleLaunch>& full_scale_launches() {
+  static const std::vector<FullScaleLaunch> launches = [] {
+    std::vector<FullScaleLaunch> v;
+    v.push_back(full_scale_launch(gpurf::workloads::make_dwt2d(),
+                                  SimMode::kOriginal, "original"));
+    v.push_back(full_scale_launch(gpurf::workloads::make_hotspot(),
+                                  SimMode::kOriginal, "original"));
+    v.push_back(full_scale_launch(gpurf::workloads::make_elevated(),
+                                  SimMode::kCompressedPerfect, "perfect"));
+    return v;
+  }();
+  return launches;
+}
+
+void check_full_scale(int shards) {
+  for (const FullScaleLaunch& l : full_scale_launches()) {
+    auto inst = l.w->make_instance(Scale::kFull, 0);
+    const KernelLaunchSpec spec =
+        gpurf::workloads::make_launch_spec(*l.w, inst, l.pr, l.mode);
+    SimOptions so;
+    so.shards = shards;
+    const SimStats s =
+        simulate(GpuConfig::fermi_gtx480(),
+                 gpurf::workloads::make_compression_config(l.mode), spec,
+                 nullptr, so)
+            .stats;
+    expect_row(kFullScale, row_of(l.w->spec().name, l.config, s), shards);
   }
 }
 
@@ -198,6 +283,13 @@ TEST(SimGolden, CompressedRowsMatchTableAtFourShards) {
   gpurf::testing::PoolWidth width(4);
   check_against_table(Config::kInt, 4);
   check_against_table(Config::kIntF16, 4);
+}
+
+TEST(SimGolden, FullScaleRefillMatchesTable) { check_full_scale(1); }
+
+TEST(SimGolden, FullScaleRefillMatchesTableAtFourShards) {
+  gpurf::testing::PoolWidth width(4);
+  check_full_scale(4);
 }
 
 TEST(SimGolden, CompressedConfigsReachDoubleFetchesAndConversions) {

@@ -392,6 +392,55 @@ TEST(Simulate, OneInstructionKernelCountsExactCycles) {
   EXPECT_EQ(r4.stats.warp_insts, 4u);
 }
 
+// One warp whose store waits on a global load that misses to DRAM: the
+// SM has nothing to do for about lat_dram cycles, so the clock jumps.
+constexpr std::string_view kDramWait = R"(
+.kernel dram_wait
+.param s32 base
+.reg s32 %a
+.reg f32 %x
+entry:
+  add.s32 %a, %tid.x, $base
+  ld.global.f32 %x, [%a]
+  st.global.f32 [%a], %x
+  ret
+)";
+
+TEST(Simulate, ClockJumpKeepsTheMaxCyclesBound) {
+  // A launch fails with "exceeded max_cycles" exactly when it needs more
+  // cycles than the bound, serial and sharded, even when the clock would
+  // jump past the bound while every SM waits.
+  gpurf::testing::PoolWidth width(4);
+  const auto run = [](uint64_t max_cycles, int shards) {
+    SimRig rig(kDramWait, LaunchConfig{1, 1, 32, 1});
+    rig.spec.params = {rig.gmem.alloc(32)};
+    rig.spec.regs_per_thread = 4;
+    GpuConfig g = GpuConfig::fermi_gtx480();
+    g.max_cycles = max_cycles;
+    SimOptions so;
+    so.shards = shards;
+    return simulate(g, CompressionConfig::baseline(), rig.spec, nullptr, so)
+        .stats;
+  };
+  const uint64_t lat_dram = GpuConfig::fermi_gtx480().lat_dram;
+  const SimStats need = run(GpuConfig::fermi_gtx480().max_cycles, 1);
+  ASSERT_GT(need.cycles, lat_dram);
+  for (int shards : {1, 4}) {
+    for (uint64_t bound : {lat_dram / 4, need.cycles - 1}) {
+      try {
+        run(bound, shards);
+        ADD_FAILURE() << "max_cycles " << bound << " at " << shards
+                      << " shard(s): accepted";
+      } catch (const gpurf::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("exceeded max_cycles"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    gpurf::testing::expect_same_sim_stats(need, run(need.cycles, shards));
+  }
+}
+
 TEST(Simulate, ZeroThreadBlockShapeIsRejected) {
   SimRig rig(kRetOnly, LaunchConfig{1, 1, 0, 1});
   rig.spec.regs_per_thread = 4;
@@ -509,10 +558,11 @@ TEST(Simulate, RejectsOversizedKernel) {
 
 // ------------------------------------------------------ GpuConfig bounds
 //
-// The SM keeps GTO state for at most kMaxWarpSchedulers schedulers and
-// one mask bit per collector unit; zero schedulers or collector units
-// would spin to max_cycles without issuing, and zero banks would divide
-// by zero.  Each such config is rejected naming the field and its bound.
+// The SM keeps GTO state for at most kMaxWarpSchedulers schedulers, one
+// mask bit per warp slot of a scheduler and one per collector unit; zero
+// schedulers or collector units would spin to max_cycles without issuing,
+// and zero banks would divide by zero.  Each such config is rejected
+// naming the field and its bound.
 
 struct GpuField {
   const char* name;
@@ -524,6 +574,8 @@ constexpr GpuField kUnholdable[] = {
     {"warp_schedulers", &GpuConfig::warp_schedulers, 0},
     {"warp_schedulers", &GpuConfig::warp_schedulers,
      GpuConfig::kMaxWarpSchedulers + 1},
+    {"max_warps_per_sm", &GpuConfig::max_warps_per_sm,
+     GpuConfig::kMaxWarpsPerSm + 1},
     {"collector_units", &GpuConfig::collector_units, 0},
     {"collector_units", &GpuConfig::collector_units,
      GpuConfig::kMaxCollectorUnits + 1},
@@ -582,6 +634,23 @@ TEST(Simulate, LargestHoldableGpuConfigRuns) {
   EXPECT_EQ(res.stats.blocks_run, 30u);
   for (uint32_t i = 0; i < n; ++i)
     EXPECT_EQ(rig.gmem.read_f32(yb + i, 1)[0], 1.5f * 2.0f + 0.25f);
+
+  // One scheduler owning all kMaxWarpsPerSm slots: 16 blocks of 4 warps
+  // fill every bit of its masks.
+  GpuConfig one = GpuConfig::fermi_gtx480();
+  one.warp_schedulers = 1;
+  one.max_warps_per_sm = GpuConfig::kMaxWarpsPerSm;
+  one.max_blocks_per_sm = 16;
+  SimRig full(kAxpy, LaunchConfig{30, 1, 128, 1});
+  const uint32_t fx = full.gmem.alloc_f32(x);
+  const uint32_t fy = full.gmem.alloc_f32(y);
+  full.spec.params = {fx, fy, n};
+  full.spec.regs_per_thread = 8;
+  const auto wide = simulate(one, CompressionConfig::baseline(), full.spec);
+  EXPECT_EQ(wide.occupancy.warps_per_sm, GpuConfig::kMaxWarpsPerSm);
+  EXPECT_EQ(wide.stats.blocks_run, 30u);
+  for (uint32_t i = 0; i < n; ++i)
+    EXPECT_EQ(full.gmem.read_f32(fy + i, 1)[0], 1.5f * 2.0f + 0.25f);
 }
 
 TEST(Simulate, EngineReportsUnholdableGpuConfigAsStatus) {
